@@ -11,6 +11,10 @@ Subcommands mirror the pipeline phases plus the downstream tools:
 * ``generate``   synthesize a corpus with ground-truth labels
 * ``evaluate``   precision/recall of an ``approx`` run against ground truth
 
+``reviewers``, ``coverage`` and ``evaluate`` re-derive an ``approx`` run
+from the initial ids in its ``seed.csv`` plus ``summary.json["config"]``,
+and exit 2 when a stored CSV artifact differs from the re-derivation.
+
 Every command writes a ``manifest.json`` (arguments, sha256 input
 digests, outputs, warnings, wall time) next to its outputs.  Primary
 outputs (CSV/JSON artifacts) are byte-deterministic for identical inputs
@@ -18,7 +22,7 @@ and flags; the manifest embeds the wall time and is not.
 
 Exit codes: 0 success; 1 pipeline failure on valid input (empty seed,
 unsatisfiable threshold, ...); 2 unusable input (unreadable file,
-malformed corpus line, duplicate id, bad flag value).
+malformed corpus line, duplicate id, bad flag value, mismatched run).
 """
 
 from __future__ import annotations
@@ -29,13 +33,15 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from . import analytics, approx, corpus as corpus_mod, keys as keys_mod
 from . import seed as seed_mod, syngen
-from .errors import (CorpusInputError, EmptyRecord, InvalidConfig,
-                     SchemaError, SpecialtyApproxError, Unsatisfiable)
+from .errors import (CorpusInputError, EmptyRecord, FileUnreadable,
+                     InvalidConfig, RunMismatch, SchemaError,
+                     SpecialtyApproxError, Unsatisfiable)
 
 _SCOPE_CHOICES = {
     "auto": keys_mod.AuthorScope.AUTO,
@@ -85,11 +91,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _conflict_window(text: str) -> approx.YearWindow | int:
+    """``START:END``, or a span in years ending at the run's window end."""
+    return _window(text) if ":" in text else _positive_int(text)
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
@@ -128,10 +142,8 @@ class _Run:
         self.outputs.append(path.name)
 
     def emit_json(self, path: Path, payload) -> None:
-        self.emit(path, lambda tmp: tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        ))
+        _write_json(path, payload)
+        self.outputs.append(path.name)
 
     def write_manifest(self, out_dir: Path) -> None:
         manifest = {
@@ -149,7 +161,7 @@ class _Run:
 def _read_ids(path: str | Path) -> list[str]:
     """Read newline-delimited publication ids ('#' starts a comment)."""
     out = []
-    for line in corpus_mod._read_lines(path):
+    for line in corpus_mod.read_lines(path):
         text = line.split("#", 1)[0].strip()
         if text:
             out.append(text)
@@ -202,7 +214,11 @@ def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CorpusInputError(
+            f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -273,17 +289,16 @@ def cmd_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _derive_keys(args, loaded, record):
-    config = _keys_config(args)
-    return keys_mod.compute_all_keys(loaded, record, config)
-
-
-def _emit_keys_artifacts(run, out, record, keys):
-    run.emit(out / "seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
-    run.emit(out / "keys.csv",
-             lambda p: keys_mod.write_key_values_csv(keys, p))
-    for warning in keys.warnings():
-        run.warnings.append(warning)
+def _artifacts(loaded, record, keys, result=None) -> dict:
+    """The writers of a run's CSV artifacts, by file name."""
+    writers = {
+        "seed.csv": lambda p: seed_mod.write_seed_csv(record, p),
+        "keys.csv": lambda p: keys_mod.write_key_values_csv(keys, p),
+    }
+    if result is not None:
+        writers["approximation.csv"] = (
+            lambda p: approx.write_approximation_csv(result, loaded, p))
+    return writers
 
 
 def cmd_keys(args: argparse.Namespace) -> int:
@@ -295,9 +310,11 @@ def cmd_keys(args: argparse.Namespace) -> int:
     run.add_input("corpus", args.corpus)
     run.add_input("ids", args.ids)
     record = _build_seed(args, loaded)
-    keys = _derive_keys(args, loaded, record)
+    keys = keys_mod.compute_all_keys(loaded, record, _keys_config(args))
     out = _out_dir(args)
-    _emit_keys_artifacts(run, out, record, keys)
+    for name, write in _artifacts(loaded, record, keys).items():
+        run.emit(out / name, write)
+    run.warnings.extend(keys.warnings())
     summary = {
         "config": {"keys": keys.config.to_dict(), "extend": args.extend},
         "seed": {
@@ -329,14 +346,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
     run.add_input("corpus", args.corpus)
     run.add_input("ids", args.ids)
     record = _build_seed(args, loaded)
-    keys = _derive_keys(args, loaded, record)
+    keys = keys_mod.compute_all_keys(loaded, record, _keys_config(args))
     histogram = approx.seed_coverage_histogram(loaded, record, keys)
     result = approx.build_approximation(loaded, keys, args.window,
                                         args.min_fields)
     out = _out_dir(args)
-    _emit_keys_artifacts(run, out, record, keys)
-    run.emit(out / "approximation.csv",
-             lambda p: approx.write_approximation_csv(result, loaded, p))
+    for name, write in _artifacts(loaded, record, keys, result).items():
+        run.emit(out / name, write)
+    run.warnings.extend(keys.warnings())
     thresholds = [keys.config.threshold_for(f) for f in keys_mod.FIELD_ORDER]
     summary = {
         "config": {
@@ -375,67 +392,56 @@ def cmd_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run(run_dir: Path, loaded: corpus_mod.Corpus):
-    """Rebuild config, key values and approximation from an approx run dir."""
-    summary_path = run_dir / "summary.json"
-    try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"not an approx run dir: {exc}") from exc
-    if "approximation" not in summary:
-        raise InvalidConfig(
-            f"{run_dir} holds no approximation (run the approx command first)"
-        )
-    config = keys_mod.KeysConfig.from_dict(summary["config"]["keys"])
-    entries = keys_mod.read_key_values_csv(run_dir / "keys.csv")
-    sets = {}
-    for field in keys_mod.FIELD_ORDER:
-        block = summary["fields"][field.value]
-        sets[field] = keys_mod.KeyValueSet(
-            field=field,
-            entries=entries[field],
-            threshold=block["threshold"],
-            achieved_coverage=block["achieved_coverage"],
-            n_unique_values=block["n_unique_values"],
-            n_eligible_values=block["n_eligible_values"],
-            n_excluded_homonyms=block["n_excluded_homonyms"],
-            descended_to_frequency_one=block["descended_to_frequency_one"],
-        )
-    keys = keys_mod.KeyValueSets(
-        cells=sets[keys_mod.FieldKind.CELL],
-        title_words=sets[keys_mod.FieldKind.TITLE_WORD],
-        authors=sets[keys_mod.FieldKind.AUTHOR],
-        references=sets[keys_mod.FieldKind.REFERENCE],
-        config=config,
-    )
+def _rederive_run(run_dir: Path, loaded: corpus_mod.Corpus):
+    """Re-derive an approx run and check its stored CSVs byte for byte.
 
-    block = summary["approximation"]
-    profiles = {}
-    members = []
-    with open(run_dir / "approximation.csv", encoding="utf-8",
-              newline="") as handle:
-        for row in csv.DictReader(handle):
-            profile = approx.CoverageProfile(
-                pub_id=row["pub_id"],
-                cell=row["cell"] == "1",
-                title_word=row["title_word"] == "1",
-                author=row["author"] == "1",
-                reference=row["reference"] == "1",
-            )
-            members.append(row["pub_id"])
-            profiles[row["pub_id"]] = profile
-    approximation = approx.SpecialtyApproximation(
-        member_ids=tuple(members),
-        window=approx.YearWindow.parse(block["window"]),
-        min_fields=block["min_fields"],
-        n_in_window=block["n_in_window"],
-        histogram={int(k): v for k, v in block["histogram"].items()},
-        subset_sizes=dict(block["subset_sizes"]),
-        profiles=profiles,
-        key_author_match_counts=dict(summary["key_author_match_counts"]),
-    )
-    extend = bool(summary["config"].get("extend", True))
-    return config, keys, approximation, extend
+    Returns the key values, the approximation and the extend flag.
+    """
+    summary_path = run_dir / "summary.json"
+    if not summary_path.exists():
+        raise InvalidConfig(f"not an approx run dir: no {summary_path}")
+    try:
+        summary = json.loads(summary_path.read_bytes())
+    except (OSError, ValueError) as exc:
+        raise FileUnreadable(f"cannot read {summary_path}: {exc}") from exc
+    if not isinstance(summary, dict) or "approximation" not in summary:
+        raise InvalidConfig(f"{run_dir} holds no approximation "
+                            "(run the approx command first)")
+    try:
+        config = summary["config"]
+        keys_config = keys_mod.KeysConfig.from_dict(config["keys"])
+        window = approx.YearWindow.parse(config["window"])
+        min_fields, extend = config["min_fields"], config["extend"]
+        if min_fields not in range(1, 5):
+            raise ValueError(f"min_fields {min_fields!r}")
+    except (AttributeError, LookupError, TypeError, ValueError,
+            SpecialtyApproxError) as exc:
+        raise FileUnreadable(
+            f"{summary_path} holds no usable run config: {exc!r}") from exc
+
+    seed_path = run_dir / "seed.csv"
+    try:
+        with open(seed_path, encoding="utf-8", newline="") as handle:
+            initial = [r[0] for r in csv.reader(handle) if r[1:] == ["initial"]]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FileUnreadable(f"cannot read {seed_path}: {exc}") from exc
+    try:
+        record = seed_mod.build_seed_record(loaded, initial, extend=extend)
+        keys = keys_mod.compute_all_keys(loaded, record, keys_config)
+        result = approx.build_approximation(loaded, keys, window, min_fields)
+    except SpecialtyApproxError as exc:
+        raise RunMismatch(
+            f"{run_dir} cannot be re-derived on this corpus: {exc}") from exc
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in _artifacts(loaded, record, keys, result).items():
+            write(Path(tmp) / name)
+            if _sha256(Path(tmp) / name) != _sha256(run_dir / name):
+                raise RunMismatch(
+                    f"{run_dir / name} does not match the run re-derived "
+                    f"from seed.csv and summary.json"
+                )
+    return keys, result, extend
 
 
 def _check_corpus_matches_run(run: _Run, run_dir: Path) -> None:
@@ -456,23 +462,19 @@ def _check_corpus_matches_run(run: _Run, run_dir: Path) -> None:
 def cmd_reviewers(args: argparse.Namespace) -> int:
     run = _Run("reviewers", {
         "corpus": args.corpus, "run": args.run, "focal": args.focal,
-        "conflict_window": args.conflict_window, "top": args.top,
+        "conflict_window": str(args.conflict_window), "top": args.top,
         "source": args.source, "scope": args.scope,
     })
     loaded = _load_corpus(args.corpus)
     run.add_input("corpus", args.corpus)
     run_dir = Path(args.run)
-    config, keys, approximation, extend = _load_run(run_dir, loaded)
+    keys, approximation, extend = _rederive_run(run_dir, loaded)
     _check_corpus_matches_run(run, run_dir)
 
-    if ":" in args.conflict_window:
-        conflict_window = approx.YearWindow.parse(args.conflict_window)
-    else:
-        span = int(args.conflict_window)
-        if span < 1:
-            raise InvalidConfig("conflict window span must be >= 1 year")
+    conflict_window = args.conflict_window
+    if isinstance(conflict_window, int):
         end = approximation.window.end
-        conflict_window = approx.YearWindow(end - span + 1, end)
+        conflict_window = approx.YearWindow(end - conflict_window + 1, end)
 
     source = (approximation if args.source == "approximation"
               else keys.authors)
@@ -501,7 +503,8 @@ def cmd_reviewers(args: argparse.Namespace) -> int:
                 cand_seed = seed_mod.build_seed_record(
                     loaded, record_ids, extend=extend
                 )
-                cand_keys = keys_mod.compute_all_keys(loaded, cand_seed, config)
+                cand_keys = keys_mod.compute_all_keys(loaded, cand_seed,
+                                                      keys.config)
                 mutual = analytics.mutual_coverage(
                     entry.author_key, cand_seed, cand_keys,
                     approximation, loaded,
@@ -557,7 +560,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     run.add_input("corpus", args.corpus)
     run.add_input("ids", args.ids)
     run_dir = Path(args.run)
-    config, keys, approximation, _ = _load_run(run_dir, loaded)
+    keys, approximation, _ = _rederive_run(run_dir, loaded)
     _check_corpus_matches_run(run, run_dir)
 
     ids = _read_ids(args.ids)
@@ -625,7 +628,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     run.add_input("corpus", args.corpus)
     run.add_input("truth", args.truth)
     run_dir = Path(args.run)
-    _, _, approximation, _ = _load_run(run_dir, loaded)
+    _, approximation, _ = _rederive_run(run_dir, loaded)
     _check_corpus_matches_run(run, run_dir)
     truth = syngen.GroundTruth.read_jsonl(args.truth)
     precision, recall = syngen.evaluate_recovery(
@@ -730,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--focal",
                    help="focal author ('Surname I') to exclude along with "
                         "conflicted co-authors")
-    p.add_argument("--conflict-window", default=str(DEFAULT_CONFLICT_SPAN),
+    p.add_argument("--conflict-window", type=_conflict_window,
+                   default=str(DEFAULT_CONFLICT_SPAN),
                    help="conflict span in years ending at the window end, "
                         "or an explicit START:END (default 5)")
     p.add_argument("--top", type=_positive_int, default=10,

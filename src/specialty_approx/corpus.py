@@ -422,12 +422,19 @@ class Corpus:
         )
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def read_lines(path: str | Path) -> Iterator[str]:
+    """Stream the lines of a UTF-8 text file without their ``"\\n"``.
+
+    Lines split on ``"\\n"`` only: U+0085, U+2028 and U+2029 are legal
+    inside JSON strings.  Raises :class:`FileUnreadable` when the file
+    cannot be opened or a line is not valid UTF-8.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            for line in handle:
+                yield line.removesuffix("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    return text.splitlines()
 
 
 def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
@@ -445,7 +452,7 @@ def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
     rejected: list[RejectedLine] = []
     total = 0
     seen: set[str] = set()
-    for line_no, line in enumerate(_read_lines(path), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         total += 1

@@ -25,6 +25,10 @@ class FileUnreadable(CorpusInputError):
     """The corpus (or config) file could not be opened or decoded."""
 
 
+class RunMismatch(CorpusInputError):
+    """A stored run artifact differs from its re-derivation."""
+
+
 class SchemaError(CorpusInputError):
     """A corpus line is not a valid publication record.
 

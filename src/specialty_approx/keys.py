@@ -429,19 +429,3 @@ def write_key_values_csv(keys: KeyValueSets, path: str | Path) -> None:
                     kvs.field.value, rank, entry.value, entry.frequency,
                     repr(entry.cumulative_coverage),
                 ])
-
-
-def read_key_values_csv(
-    path: str | Path,
-) -> dict[FieldKind, tuple[KeyValueEntry, ...]]:
-    """Read back a key-values CSV into per-field entry tuples."""
-    out: dict[FieldKind, list[KeyValueEntry]] = {f: [] for f in FIELD_ORDER}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out[FieldKind(row["field"])].append(KeyValueEntry(
-                value=row["value"],
-                frequency=int(row["frequency"]),
-                cumulative_coverage=float(row["cumulative_coverage"]),
-            ))
-    return {f: tuple(v) for f, v in out.items()}

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .approx import SpecialtyApproximation
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .errors import FileUnreadable, InvalidConfig, LabelMismatch
 
 logger = logging.getLogger(__name__)
@@ -202,11 +202,7 @@ class GroundTruth:
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "GroundTruth":
         labels: dict[str, str] = {}
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
             try:

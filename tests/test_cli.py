@@ -1,6 +1,7 @@
 """End-to-end command-line tests (each command run as a subprocess)."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -285,3 +286,79 @@ def test_reviewers_needs_an_approx_run(workspace, tmp_path):
                      "--out", str(tmp_path / "out"))
     assert result.returncode == 1
     assert "approx" in result.stderr
+
+
+# --------------------------------------------------------- unusable input
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def drop_last_row(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
+def edit_first_row(path):
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(
+        keepends=True)
+    path.write_text("".join([header, first.replace(",1,", ",2,", 1), *rest]),
+                    encoding="utf-8")
+
+
+def on_run(command, name=None, damage=None):
+    """``command`` against a copy of the approx run with one file damaged."""
+    def argv(ws, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(ws["run"], run)
+        if damage is not None:
+            damage(run / name)
+        extra = {
+            "reviewers": [],
+            "coverage": ["--ids", str(ws["ids"])],
+            "evaluate": ["--truth", str(ws["truth"]), "--target", "alpha"],
+        }[command]
+        return [command, str(ws["corpus"]), "--run", str(run), *extra]
+    return argv
+
+
+def out_under_file(ws, tmp_path):
+    (tmp_path / "out").write_text("", encoding="utf-8")
+    return ["seed", str(ws["corpus"]), "--ids", str(ws["ids"])]
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(on_run("evaluate", "summary.json", truncate), 2,
+                 id="truncated-summary"),
+    pytest.param(on_run("coverage", "keys.csv", lambda p: p.unlink()), 2,
+                 id="missing-keys-csv"),
+    pytest.param(on_run("evaluate", "approximation.csv", drop_last_row), 2,
+                 id="deleted-approximation-row"),
+    pytest.param(on_run("reviewers", "keys.csv", edit_first_row), 2,
+                 id="edited-keys-row"),
+    pytest.param(lambda ws, tmp: ["approx", str(ws["corpus"]), "--ids",
+                                  str(tmp / "absent.txt"), "--window", WINDOW],
+                 2, id="missing-ids"),
+    pytest.param(lambda ws, tmp: ["evaluate", str(ws["corpus"]), "--run",
+                                  str(ws["run"]), "--truth",
+                                  str(tmp / "absent.jsonl"), "--target",
+                                  "alpha"],
+                 2, id="missing-truth"),
+    pytest.param(lambda ws, tmp: [*on_run("reviewers")(ws, tmp),
+                                  "--conflict-window", "abc"],
+                 2, id="conflict-window-abc"),
+    pytest.param(lambda ws, tmp: [*on_run("reviewers")(ws, tmp),
+                                  "--conflict-window", "0"],
+                 2, id="conflict-window-0"),
+    pytest.param(out_under_file, 2, id="out-under-regular-file"),
+    pytest.param(lambda ws, tmp: ["reviewers", str(ws["corpus"]),
+                                  "--run", str(tmp)],
+                 1, id="no-approx-run"),
+])
+def test_unusable_input_fails_cleanly(workspace, tmp_path, argv, code):
+    out = tmp_path / "out" / "result"
+    result = run_cli(*argv(workspace, tmp_path), "--out", str(out))
+    assert result.returncode == code, result.stderr
+    assert sum("error:" in line for line in result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

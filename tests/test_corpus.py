@@ -348,3 +348,22 @@ def test_ingest_duplicate_id_raises_even_when_lenient(tmp_path):
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(FileUnreadable):
         ingest(tmp_path / "nope.jsonl")
+
+
+def test_ingest_keeps_unicode_line_breaks_inside_records(tmp_path):
+    title = "Greedy coverage\u2028of citation\u0085networks"
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(minimal_record(title=title), ensure_ascii=False)
+                    + "\n", encoding="utf-8")
+    corpus = ingest(path)
+    assert corpus.ingest_report.ok
+    assert corpus.publications["p1"].title == title
+
+
+def test_ingest_invalid_utf8_after_valid_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [minimal_record(id=f"p{i}") for i in range(200)])
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\n")
+    with pytest.raises(FileUnreadable):
+        ingest(path)
