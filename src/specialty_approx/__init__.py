@@ -15,7 +15,7 @@ specialty labels to validate recovery.
 """
 
 from .approx import (CoverageProfile, SpecialtyApproximation, YearWindow,
-                     build_approximation, coverage_profile,
+                     build_approximation, coverage_profile, covered_ids,
                      expected_inclusion_probability, expected_inclusion_rate,
                      rederive_key_values, seed_coverage_histogram,
                      write_approximation_csv)
@@ -35,8 +35,7 @@ from .errors import (CorpusInputError, DuplicatePubId, EmptyApproximation,
 from .keys import (FIELD_ORDER, AuthorScope, FieldKind, KeysConfig,
                    KeyValueEntry, KeyValueSet, KeyValueSets,
                    compute_all_keys, extract_field_values, field_frequencies,
-                   homonym_surnames, publication_covered, select_key_values,
-                   write_key_values_csv)
+                   homonym_surnames, select_key_values, write_key_values_csv)
 from .seed import (Provenance, SeedRecord, build_seed_record, write_seed_csv)
 from .syngen import (GeneratorConfig, GroundTruth, SpecialtyParams,
                      build_records, evaluate_recovery, generate)
@@ -57,13 +56,12 @@ __all__ = [
     "SpecialtyApproximation", "SpecialtyParams", "UnknownPubId",
     "Unsatisfiable", "YearWindow", "build_approximation", "build_records",
     "build_seed_record", "compute_all_keys", "conflicted_author_keys",
-    "coverage_of_record_by_keys", "coverage_profile", "derive_cell",
-    "evaluate_recovery", "expected_inclusion_probability",
+    "coverage_of_record_by_keys", "coverage_profile", "covered_ids",
+    "derive_cell", "evaluate_recovery", "expected_inclusion_probability",
     "expected_inclusion_rate", "extract_field_values", "field_frequencies",
     "generate", "homonym_surnames", "ingest", "is_doi_like",
     "mutual_coverage", "normalize_author_key", "parse_record",
-    "publication_covered", "rank_authors", "rederive_key_values",
-    "seed_coverage_histogram", "select_key_values", "tokenize_title",
-    "write_approximation_csv", "write_key_values_csv", "write_rankings_csv",
-    "write_seed_csv",
+    "rank_authors", "rederive_key_values", "seed_coverage_histogram",
+    "select_key_values", "tokenize_title", "write_approximation_csv",
+    "write_key_values_csv", "write_rankings_csv", "write_seed_csv",
 ]

@@ -6,7 +6,8 @@ excluding the focal author, ambiguous homonym identities, and anyone who
 co-published with the focal author inside a conflict window.  Peer
 comparison measures how much of a second record falls inside the
 approximation and how much of the approximation the second record's own
-key values cover.
+key values cover; both coverage questions go to
+:func:`~specialty_approx.approx.covered_ids` as one batch.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .approx import SpecialtyApproximation, YearWindow, coverage_profile
-from .corpus import Corpus, Publication, normalize_author_key
+from .approx import SpecialtyApproximation, YearWindow, covered_ids
+from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
-                     OutOfRange, UnknownPubId)
+                     OutOfRange)
 from .keys import (AuthorScope, FieldKind, KeyValueSet, KeyValueSets,
                    homonym_surnames, in_scope_author_keys)
 from .seed import SeedRecord
@@ -226,19 +227,13 @@ def mutual_coverage(
 
     share = len(ids & approximation.member_set) / len(ids)
 
-    covered = {field: 0 for field in FieldKind}
-    members = [corpus.publications[pid] for pid in approximation.member_ids]
-    for pub in members:
-        profile = coverage_profile(pub, subject_keys)
-        for field in FieldKind:
-            if profile.covers(field):
-                covered[field] += 1
-    n = len(members)
+    covered = covered_ids(corpus, subject_keys, approximation.member_set)
     return MutualCoverage(
         subject_id=subject_id,
         share_in_approximation=share,
         key_coverage_of_approximation={
-            field: covered[field] / n for field in FieldKind
+            field: len(covered[field]) / len(approximation.member_ids)
+            for field in FieldKind
         },
     )
 
@@ -257,19 +252,12 @@ def coverage_of_record_by_keys(
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    ids = sorted(_record_ids(record))
+    ids = _record_ids(record)
     if not ids:
         raise EmptyRecord("record is empty")
-    pubs: list[Publication] = []
-    for pid in ids:
-        pub = corpus.publications.get(pid)
-        if pub is None:
-            raise UnknownPubId(pid)
-        pubs.append(pub)
-    hit = sum(
-        1 for pub in pubs if coverage_profile(pub, keys).count >= min_fields
-    )
-    return hit / len(pubs)
+    covered = covered_ids(corpus, keys, ids).values()
+    hit = sum(sum(pid in c for c in covered) >= min_fields for pid in ids)
+    return hit / len(ids)
 
 
 RANKING_CSV_COLUMNS = ("rank", "author_key", "publication_count")

@@ -5,6 +5,11 @@ window gets a four-flag coverage profile (one flag per field, true when
 the field's key values cover the publication); those covered in at least
 ``min_fields`` fields form the specialty approximation.
 
+:func:`covered_ids` answers by index intersection which of a batch of
+candidates each field covers; the approximation, the seed histogram and
+the analytics all ask it.  :func:`coverage_profile` evaluates the same
+rules on one publication and is the reference the engine must match.
+
 Under per-field coverage ``t`` and independence, the chance a seed-like
 publication lands in a >=3-of-4 approximation is
 ``4 t^3 (1 - t) + t^4`` (three fields exactly, or all four), exposed as
@@ -14,16 +19,17 @@ publication lands in a >=3-of-4 approximation is
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Mapping
+from itertools import chain, product
+from typing import Iterable, Mapping
 
 from .corpus import Corpus
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
-                     OutOfRange)
+                     OutOfRange, UnknownPubId)
 from .keys import (FIELD_ORDER, AuthorScope, FieldKind, KeysConfig,
-                   KeyValueSets, compute_all_keys, publication_covered)
+                   KeyValueSets, compute_all_keys, extract_field_values)
 from .seed import SeedRecord
 
 
@@ -128,18 +134,16 @@ class CoverageProfile:
 
 
 def coverage_profile(pub, keys: KeyValueSets) -> CoverageProfile:
-    """Evaluate all four coverage rules for one publication."""
-    return CoverageProfile(
-        pub_id=pub.pub_id,
-        cell=publication_covered(pub, FieldKind.CELL,
-                                 keys.cells.selected, keys.config),
-        title_word=publication_covered(pub, FieldKind.TITLE_WORD,
-                                       keys.title_words.selected, keys.config),
-        author=publication_covered(pub, FieldKind.AUTHOR,
-                                   keys.authors.selected, keys.config),
-        reference=publication_covered(pub, FieldKind.REFERENCE,
-                                      keys.references.selected, keys.config),
-    )
+    """Evaluate all four coverage rules for one publication.
+
+    The per-publication reference that :func:`covered_ids` must match.
+    """
+    config = keys.config
+    return CoverageProfile(pub.pub_id, *(
+        len(extract_field_values(pub, kvs.field, config) & kvs.selected)
+        >= config.required_hits(kvs.field)
+        for kvs in keys
+    ))
 
 
 def all_masks() -> tuple[str, ...]:
@@ -177,15 +181,54 @@ class SpecialtyApproximation:
         return pub_id in self.member_set
 
 
-def _selected_union(
-    index: Mapping[str, frozenset[str]],
-    values,
-    window_ids: frozenset[str],
-) -> set[str]:
-    out: set[str] = set()
-    for value in values:
-        out.update(index.get(value, frozenset()) & window_ids)
-    return out
+def _field_indexes(
+    corpus: Corpus, config: KeysConfig
+) -> dict[FieldKind, Mapping[str, frozenset[str]]]:
+    """The corpus index each field's key values are looked up in."""
+    if config.author_scope is AuthorScope.AUTO:
+        raise InvalidConfig("coverage needs a resolved author scope")
+    return {
+        FieldKind.CELL: corpus.by_cell,
+        FieldKind.TITLE_WORD: corpus.by_title_word,
+        FieldKind.AUTHOR: (corpus.by_reprint_author_key
+                           if config.author_scope is AuthorScope.REPRINT_ONLY
+                           else corpus.by_author_key),
+        FieldKind.REFERENCE: corpus.by_reference,
+    }
+
+
+def covered_ids(
+    corpus: Corpus,
+    keys: KeyValueSets,
+    candidate_ids: Iterable[str],
+) -> dict[FieldKind, frozenset[str]]:
+    """Per field, the candidates that the key values cover.
+
+    Counts each candidate's hits over the selected values' postings, so
+    publications the key values never reach are never touched.  For key
+    values selected under ``keys.config`` this equals
+    :func:`coverage_profile` on every candidate.  A candidate absent
+    from the corpus raises :class:`UnknownPubId`.
+    """
+    candidates = frozenset(candidate_ids)
+    unknown = candidates.difference(corpus.publications)
+    if unknown:
+        raise UnknownPubId(min(unknown))
+    config = keys.config
+    indexes = _field_indexes(corpus, config)
+    covered: dict[FieldKind, frozenset[str]] = {}
+    for kvs in keys:
+        index = indexes[kvs.field]
+        hits = [index.get(value, frozenset()) & candidates
+                for value in kvs.values]
+        required = config.required_hits(kvs.field)
+        if required == 1:   # one hit suffices: a union, no counting
+            covered[kvs.field] = frozenset().union(*hits)
+        else:
+            counts = Counter(chain.from_iterable(hits))
+            covered[kvs.field] = frozenset(
+                pid for pid, n in counts.items() if n >= required)
+    return covered
 
 
 def build_approximation(
@@ -196,63 +239,33 @@ def build_approximation(
 ) -> SpecialtyApproximation:
     """Assemble the approximation from key values over a year window.
 
-    Uses the corpus inverted indexes, which is equivalent to evaluating
-    :func:`coverage_profile` on every in-window publication but avoids
-    touching publications the key values never reach.
+    Members are the in-window publications that :func:`covered_ids`
+    places in at least ``min_fields`` fields.
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    config = keys.config
-    if config.author_scope is AuthorScope.AUTO:
-        raise InvalidConfig("approximation needs a resolved author scope")
-
     window_ids = corpus.ids_in_years(window.years())
-    author_index = (corpus.by_reprint_author_key
-                    if config.author_scope is AuthorScope.REPRINT_ONLY
-                    else corpus.by_author_key)
-
-    covered: dict[FieldKind, set[str]] = {
-        FieldKind.CELL: _selected_union(
-            corpus.by_cell, keys.cells.values, window_ids),
-        FieldKind.AUTHOR: _selected_union(
-            author_index, keys.authors.values, window_ids),
-        FieldKind.REFERENCE: _selected_union(
-            corpus.by_reference, keys.references.values, window_ids),
-    }
-    word_hits: dict[str, int] = {}
-    for word in keys.title_words.values:
-        for pid in corpus.by_title_word.get(word, frozenset()) & window_ids:
-            word_hits[pid] = word_hits.get(pid, 0) + 1
-    covered[FieldKind.TITLE_WORD] = {
-        pid for pid, hits in word_hits.items()
-        if hits >= config.required_title_words
-    }
+    covered = covered_ids(corpus, keys, window_ids)
 
     histogram = {k: 0 for k in range(5)}
     subset_sizes = {mask: 0 for mask in all_masks()}
-    members: list[str] = []
     profiles: dict[str, CoverageProfile] = {}
+    cell, title_word, author, reference = (covered[f] for f in FIELD_ORDER)
     for pid in window_ids:
-        profile = CoverageProfile(
-            pub_id=pid,
-            cell=pid in covered[FieldKind.CELL],
-            title_word=pid in covered[FieldKind.TITLE_WORD],
-            author=pid in covered[FieldKind.AUTHOR],
-            reference=pid in covered[FieldKind.REFERENCE],
-        )
+        profile = CoverageProfile(pid, pid in cell, pid in title_word,
+                                  pid in author, pid in reference)
         histogram[profile.count] += 1
         subset_sizes[profile.mask] += 1
         if profile.count >= min_fields:
-            members.append(pid)
             profiles[pid] = profile
 
-    members.sort()
+    author_index = _field_indexes(corpus, keys.config)[FieldKind.AUTHOR]
     match_counts = {
         key: len(author_index.get(key, frozenset()) & window_ids)
         for key in keys.authors.values
     }
     return SpecialtyApproximation(
-        member_ids=tuple(members),
+        member_ids=tuple(sorted(profiles)),
         window=window,
         min_fields=min_fields,
         n_in_window=len(window_ids),
@@ -274,14 +287,12 @@ def seed_coverage_histogram(
     of seed publications whose own key values cover them in exactly ``k``
     fields.
     """
-    pubs = [corpus.publications[pid] for pid in sorted(seed.all_ids)]
-    if not pubs:
+    if not seed.all_ids:
         raise EmptyApproximation("seed record is empty")
-    counts = {k: 0 for k in range(5)}
-    for pub in pubs:
-        counts[coverage_profile(pub, keys).count] += 1
-    n = len(pubs)
-    return {k: v / n for k, v in counts.items()}
+    covered = covered_ids(corpus, keys, seed.all_ids).values()
+    counts = Counter(sum(pid in ids for ids in covered)
+                     for pid in seed.all_ids)
+    return {k: counts[k] / len(seed.all_ids) for k in range(5)}
 
 
 def rederive_key_values(

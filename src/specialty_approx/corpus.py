@@ -26,6 +26,9 @@ from .errors import DuplicatePubId, EmptyCategorySet, FileUnreadable, SchemaErro
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 _DOI_LIKE = re.compile(r"^(?:doi:)?10\.\d{4,9}/\S+$", re.IGNORECASE)
+# UTF-8 cannot encode a surrogate, which only a JSON "\ud800" escape lets
+# in; str.isascii reads a flag, so only non-ASCII text is searched.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class DocType(Enum):
@@ -272,6 +275,9 @@ def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
             raise SchemaError(
                 line_no, f"author {i} needs string 'surname' and 'initials'"
             )
+        text = surname + initials
+        if not text.isascii() and _SURROGATE.search(text):
+            raise SchemaError(line_no, f"author {i} holds a lone surrogate")
         try:
             out.append(AuthorName.from_raw(surname, initials))
         except ValueError as exc:
@@ -283,6 +289,9 @@ def _parse_str_list(raw, line_no: int, key: str) -> list[str]:
     """The strings of ``raw``, interned; ``str`` subclasses are copied first."""
     if not isinstance(raw, list) or any(not isinstance(v, str) for v in raw):
         raise SchemaError(line_no, f"'{key}' must be a list of strings")
+    text = "".join(raw)
+    if not text.isascii() and _SURROGATE.search(text):
+        raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
     return [sys.intern(v if type(v) is str else str.__str__(v)) for v in raw]
 
 
@@ -310,12 +319,12 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     year = obj["year"]
     if not isinstance(year, int) or isinstance(year, bool):
         raise SchemaError(line_no, "'year' must be an integer")
-    if not isinstance(obj["doc_type"], str):
-        raise SchemaError(line_no, "'doc_type' must be a string")
-    if not isinstance(obj["source_id"], str):
-        raise SchemaError(line_no, "'source_id' must be a string")
-    if not isinstance(obj["title"], str):
-        raise SchemaError(line_no, "'title' must be a string")
+    for key in ("id", "doc_type", "source_id", "title"):
+        text = obj[key]
+        if not isinstance(text, str):
+            raise SchemaError(line_no, f"'{key}' must be a string")
+        if not text.isascii() and _SURROGATE.search(text):
+            raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
 
     categories = _parse_str_list(obj["subject_categories"], line_no,
                                  "subject_categories")
@@ -448,16 +457,18 @@ def read_lines(path: str | Path) -> Iterator[str]:
 
 
 def decode_json_line(line: str, line_no: int):
-    """Decode one JSON line; any failure to decode is a :class:`SchemaError`.
+    """Decode JSON text; any failure to decode is a :class:`SchemaError`.
 
     Besides syntax errors that covers an integer literal too long to
     convert (``ValueError``) and nesting too deep to decode
-    (``RecursionError``).
+    (``RecursionError``).  ``line_no`` is the line the text starts on, so
+    a syntax error in multi-line text names the line it is on.
     """
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        raise SchemaError(line_no, f"invalid JSON: {exc.msg}") from exc
+        raise SchemaError(line_no + exc.lineno - 1,
+                          f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         raise SchemaError(line_no, f"invalid JSON: {exc}") from exc
 

@@ -13,13 +13,16 @@ A publication counts as covered by a field's selection when
   title words are selected;
 * author: any of its in-scope author keys is selected;
 * reference: any of its references is selected.
+
+:meth:`KeysConfig.required_hits` gives the count each rule needs.  All
+four selections of :func:`compute_all_keys` share one resolved seed.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -98,6 +101,10 @@ class KeysConfig:
             FieldKind.REFERENCE: self.threshold_reference,
         }[field]
 
+    def required_hits(self, field: FieldKind) -> int:
+        """Selected values a publication needs to be covered in ``field``."""
+        return self.required_title_words if field is FieldKind.TITLE_WORD else 1
+
     def resolved_for_seed(self, pubs: Sequence[Publication]) -> "KeysConfig":
         """Pin AUTO author scope for a concrete seed (no-op otherwise)."""
         if self.author_scope is not AuthorScope.AUTO:
@@ -171,7 +178,10 @@ def homonym_surnames(
     )
 
 
-def _seed_publications(corpus: Corpus, seed: SeedRecord) -> list[Publication]:
+def _resolve_seed(
+    corpus: Corpus, seed: SeedRecord, config: KeysConfig | None
+) -> tuple[list[Publication], KeysConfig]:
+    """The seed's publications in id order and the config resolved for them."""
     pubs = []
     for pid in sorted(seed.all_ids):
         pub = corpus.publications.get(pid)
@@ -180,7 +190,7 @@ def _seed_publications(corpus: Corpus, seed: SeedRecord) -> list[Publication]:
         pubs.append(pub)
     if not pubs:
         raise EmptySeed("seed record is empty")
-    return pubs
+    return pubs, (config or KeysConfig()).resolved_for_seed(pubs)
 
 
 def field_frequencies(
@@ -195,14 +205,9 @@ def field_frequencies(
     exclusion is a candidacy rule of :func:`select_key_values`, not a
     counting rule.
     """
-    config = config or KeysConfig()
-    pubs = _seed_publications(corpus, seed)
-    config = config.resolved_for_seed(pubs)
-    freq: dict[str, int] = defaultdict(int)
-    for pub in pubs:
-        for value in extract_field_values(pub, field, config):
-            freq[value] += 1
-    return dict(freq)
+    pubs, config = _resolve_seed(corpus, seed, config)
+    return dict(Counter(value for pub in pubs
+                        for value in extract_field_values(pub, field, config)))
 
 
 @dataclass(frozen=True)
@@ -258,19 +263,6 @@ class KeyValueSet:
         return len(self.entries)
 
 
-def publication_covered(
-    pub: Publication,
-    field: FieldKind,
-    selected: frozenset[str],
-    config: KeysConfig,
-) -> bool:
-    """Does a selection of key values cover this publication's field?"""
-    values = extract_field_values(pub, field, config)
-    if field is FieldKind.TITLE_WORD:
-        return len(values & selected) >= config.required_title_words
-    return not values.isdisjoint(selected)
-
-
 def select_key_values(
     corpus: Corpus,
     seed: SeedRecord,
@@ -286,13 +278,15 @@ def select_key_values(
     is admitted and the threshold is still not met, :class:`Unsatisfiable`
     is raised carrying the exhausted partial set.
     """
-    config = config or KeysConfig()
-    pubs = _seed_publications(corpus, seed)
-    config = config.resolved_for_seed(pubs)
-    threshold = config.threshold_for(field)
-    required = (config.required_title_words
-                if field is FieldKind.TITLE_WORD else 1)
+    return _select(*_resolve_seed(corpus, seed, config), field)
 
+
+def _select(
+    pubs: Sequence[Publication], config: KeysConfig, field: FieldKind
+) -> KeyValueSet:
+    """:func:`select_key_values` on a resolved seed and config."""
+    threshold = config.threshold_for(field)
+    required = config.required_hits(field)
     posting: dict[str, list[str]] = defaultdict(list)
     for pub in pubs:
         for value in extract_field_values(pub, field, config):
@@ -396,13 +390,8 @@ def compute_all_keys(
     raises :class:`Unsatisfiable` (fields run in the canonical order
     cell, title word, author, reference).
     """
-    config = config or KeysConfig()
-    pubs = _seed_publications(corpus, seed)
-    config = config.resolved_for_seed(pubs)
-    picked = {
-        field: select_key_values(corpus, seed, field, config)
-        for field in FIELD_ORDER
-    }
+    pubs, config = _resolve_seed(corpus, seed, config)
+    picked = {field: _select(pubs, config, field) for field in FIELD_ORDER}
     return KeyValueSets(
         cells=picked[FieldKind.CELL],
         title_words=picked[FieldKind.TITLE_WORD],

@@ -156,17 +156,19 @@ class GeneratorConfig:
             )
         except InvalidConfig:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"bad generator config: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "GeneratorConfig":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{path}: invalid JSON: {exc.msg}") from exc
+        try:
+            data = decode_json_line(text, 1)
+        except SchemaError as exc:
+            raise SchemaError(exc.line_no, f"{path}: {exc.reason}") from exc
         return cls.from_dict(data)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from specialty_approx import GeneratorConfig, SpecialtyParams
+from test_corpus import minimal_record
 
 CLI = (sys.executable, "-m", "specialty_approx")
 WINDOW = "2010:2012"
@@ -381,6 +382,14 @@ def seed_with_corpus_line(line):
     return argv
 
 
+def generate_with_config(text):
+    def argv(ws, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        return ["generate", "--config", str(config)]
+    return argv
+
+
 def evaluate_with_truth(text):
     def argv(ws, tmp_path):
         truth = tmp_path / "truth.jsonl"
@@ -418,6 +427,15 @@ def evaluate_with_truth(text):
                  id="corpus-5000-digit-int"),
     pytest.param(seed_with_corpus_line("[" * 100_000), 2,
                  id="corpus-deep-nesting"),
+    pytest.param(seed_with_corpus_line(json.dumps(
+                     minimal_record(id="lone", references=["\ud800x"]))), 2,
+                 id="corpus-lone-surrogate"),
+    pytest.param(generate_with_config('{"rng_seed": ' + "1" * 5000 + "}"), 2,
+                 id="config-5000-digit-int"),
+    pytest.param(generate_with_config("{not json"), 2,
+                 id="config-invalid-json"),
+    pytest.param(generate_with_config('{"rng_seed": 1e400, "specialties": []}'),
+                 1, id="config-infinite-seed"),
     pytest.param(evaluate_with_truth('{"id": "x"}\n'), 2,
                  id="truth-not-a-label"),
     pytest.param(evaluate_with_truth("{not json\n"), 2,

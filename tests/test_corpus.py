@@ -233,6 +233,12 @@ def test_publication_derived_fields():
     (dict(reprint_author="0"), "reprint_author"),
     (dict(references="r1"), "references"),
     (dict(references=["ok", ""]), "empty string"),
+    (dict(title="lone \ud800 surrogate"), "'title' holds a lone surrogate"),
+    (dict(authors=[{"surname": "Wei\udcffss", "initials": "A"}]),
+     "author 0 holds a lone surrogate"),
+    (dict(subject_categories=["Phys", "Chem\udbff"]),
+     "'subject_categories' holds a lone surrogate"),
+    (dict(references=["\ud800x"]), "'references' holds a lone surrogate"),
 ])
 def test_parse_record_schema_violations(mutation, fragment):
     with pytest.raises(SchemaError) as exc_info:

@@ -1,0 +1,111 @@
+"""Differential harness: every coverage entry point against the oracle.
+
+One seeded sweep over the whole coverage config space (author scope,
+DOI-only references, minimum title-word length, required title words and
+the member rule) on small random corpora.  Each configuration checks
+``coverage_profile``, ``seed_coverage_histogram``, ``build_approximation``,
+``coverage_of_record_by_keys`` and ``mutual_coverage`` against
+``oracles.profile_record``, which evaluates one raw record at a time and
+shares no code with the package.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import make_random_records, records_to_corpus
+from specialty_approx import (
+    FIELD_ORDER, AuthorScope, YearWindow, build_approximation,
+    build_seed_record, coverage_of_record_by_keys, coverage_profile,
+    mutual_coverage, seed_coverage_histogram,
+)
+from specialty_approx.errors import EmptyApproximation
+from test_approx import craft_keys
+
+WINDOW = (2005, 2007)
+
+
+def oracle_inputs(keys):
+    """``oracles`` arguments for a selection: selected values, then kwargs."""
+    config = keys.config
+    selected = {f.value: keys.per_field(f).selected for f in FIELD_ORDER}
+    return selected, dict(
+        min_word_len=config.min_word_len,
+        required_title_words=config.required_title_words,
+        scope=config.author_scope.value,
+        doi_only=config.doi_only_references,
+    )
+
+
+def oracle_flags(records, keys):
+    selected, kwargs = oracle_inputs(keys)
+    return {r["id"]: oracles.profile_record(r, selected, **kwargs)
+            for r in records}
+
+
+def test_every_coverage_entry_point_matches_the_oracle():
+    rng = np.random.default_rng(606)
+    # AUTO resolves to all authors on the first corpus, reprint-only on
+    # the second (every record there carries a reprint author)
+    corpora = []
+    for reprint_share in (0.5, 1.0):
+        records = make_random_records(rng, 70, years=(2005, 2008),
+                                      reprint_share=reprint_share)
+        corpora.append((records, records_to_corpus(records)))
+    seed_ids = [f"p{i:04d}" for i in range(20)]
+    peer_ids = [f"p{i:04d}" for i in range(35, 55)]
+    window = YearWindow(*WINDOW)
+
+    sweep = itertools.product(corpora, AuthorScope, (False, True),
+                              range(1, 9), range(1, 4))
+    for (records, corpus), scope, doi_only, min_word_len, required in sweep:
+        settings = dict(author_scope=scope, doi_only_references=doi_only,
+                        min_word_len=min_word_len,
+                        required_title_words=required)
+        keys = craft_keys(corpus, seed_ids, **settings)
+        peer_keys = craft_keys(corpus, peer_ids, **settings)
+        flags = oracle_flags(records, keys)
+        peer_flags = oracle_flags(records, peer_keys)
+        count = {pid: sum(f) for pid, f in flags.items()}
+
+        for pub in corpus:
+            assert coverage_profile(pub, keys).flags == flags[pub.pub_id]
+
+        seed = build_seed_record(corpus, seed_ids, extend=False)
+        assert seed_coverage_histogram(corpus, seed, keys) == {
+            k: sum(count[p] == k for p in seed_ids) / len(seed_ids)
+            for k in range(5)
+        }
+
+        selected, kwargs = oracle_inputs(keys)
+        for min_fields in range(1, 5):
+            result = build_approximation(corpus, keys, window, min_fields)
+            members, histogram, subset_sizes, profiles, n_in_window = \
+                oracles.approximate(records, selected, WINDOW, min_fields,
+                                    **kwargs)
+            assert list(result.member_ids) == members
+            assert dict(result.histogram) == histogram
+            assert dict(result.subset_sizes) == subset_sizes
+            assert result.n_in_window == n_in_window
+            assert {p: f.flags for p, f in result.profiles.items()} == \
+                profiles
+
+            assert coverage_of_record_by_keys(
+                peer_ids, keys, min_fields, corpus
+            ) == sum(count[p] >= min_fields for p in peer_ids) / len(peer_ids)
+
+            if not members:
+                with pytest.raises(EmptyApproximation):
+                    mutual_coverage("peer", peer_ids, peer_keys, result,
+                                    corpus)
+                continue
+            mutual = mutual_coverage("peer", peer_ids, peer_keys, result,
+                                     corpus)
+            assert mutual.share_in_approximation == \
+                len(set(peer_ids) & set(members)) / len(peer_ids)
+            assert mutual.key_coverage_of_approximation == {
+                field: sum(peer_flags[m][i] for m in members) / len(members)
+                for i, field in enumerate(FIELD_ORDER)
+            }
