@@ -32,9 +32,9 @@ from .errors import (CorpusInputError, DuplicatePubId, EmptyApproximation,
                      EmptySeed, EmptyWindow, FileUnreadable, InvalidConfig,
                      LabelMismatch, OutOfRange, SchemaError,
                      SpecialtyApproxError, UnknownPubId, Unsatisfiable)
-from .keys import (FIELD_ORDER, AuthorScope, FieldKind, KeysConfig,
-                   KeyValueEntry, KeyValueSet, KeyValueSets,
-                   compute_all_keys, extract_field_values, field_frequencies,
+from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
+                   FieldSpec, KeysConfig, KeyValueEntry, KeyValueSet,
+                   KeyValueSets, compute_all_keys, field_frequencies,
                    homonym_surnames, select_key_values, write_key_values_csv)
 from .seed import (Provenance, SeedRecord, build_seed_record, write_seed_csv)
 from .syngen import (GeneratorConfig, GroundTruth, SpecialtyParams,
@@ -47,7 +47,8 @@ __all__ = [
     "CorpusInputError", "CoverageProfile", "DocType", "DuplicatePubId",
     "EmptyApproximation", "EmptyCategorySet", "EmptyInitialSet",
     "EmptyRecord", "EmptySeed", "EmptyWindow", "ExcludedAuthor",
-    "ExclusionReason", "FIELD_ORDER", "FieldKind", "FileUnreadable",
+    "ExclusionReason", "FIELD_ORDER", "FIELD_SPECS", "FieldKind",
+    "FieldSpec", "FileUnreadable",
     "GeneratorConfig", "GroundTruth", "IngestOptions", "IngestReport",
     "InvalidConfig", "KeyValueEntry", "KeyValueSet", "KeyValueSets",
     "KeysConfig", "LabelMismatch", "MutualCoverage", "OutOfRange",
@@ -58,7 +59,7 @@ __all__ = [
     "build_seed_record", "compute_all_keys", "conflicted_author_keys",
     "coverage_of_record_by_keys", "coverage_profile", "covered_ids",
     "derive_cell", "evaluate_recovery", "expected_inclusion_probability",
-    "expected_inclusion_rate", "extract_field_values", "field_frequencies",
+    "expected_inclusion_rate", "field_frequencies",
     "generate", "homonym_surnames", "ingest", "is_doi_like",
     "mutual_coverage", "normalize_author_key", "parse_record",
     "rank_authors", "rederive_key_values", "seed_coverage_histogram",

@@ -28,8 +28,8 @@ from typing import Iterable, Mapping
 from .corpus import Corpus
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange, UnknownPubId)
-from .keys import (FIELD_ORDER, AuthorScope, FieldKind, KeysConfig,
-                   KeyValueSets, compute_all_keys, extract_field_values)
+from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
+                   KeysConfig, KeyValueSets, compute_all_keys)
 from .seed import SeedRecord
 
 
@@ -105,20 +105,19 @@ class YearWindow:
             raise InvalidConfig(f"not a year window: {text!r}") from exc
 
 
+# each of the 16 flag tuples once: profiles share them
+_FLAG_TUPLES = {f: f for f in product((False, True), repeat=len(FIELD_ORDER))}
+
+
 @dataclass(frozen=True)
 class CoverageProfile:
-    """Which fields' key values cover one publication."""
+    """Which fields' key values cover one publication, in field order."""
 
     pub_id: str
-    cell: bool
-    title_word: bool
-    author: bool
-    reference: bool
+    flags: tuple[bool, ...]
 
-    @property
-    def flags(self) -> tuple[bool, bool, bool, bool]:
-        # canonical field order: cell, title_word, author, reference
-        return (self.cell, self.title_word, self.author, self.reference)
+    def __post_init__(self):
+        object.__setattr__(self, "flags", _FLAG_TUPLES[tuple(self.flags)])
 
     @property
     def count(self) -> int:
@@ -139,10 +138,10 @@ def coverage_profile(pub, keys: KeyValueSets) -> CoverageProfile:
     The per-publication reference that :func:`covered_ids` must match.
     """
     config = keys.config
-    return CoverageProfile(pub.pub_id, *(
-        len(extract_field_values(pub, kvs.field, config) & kvs.selected)
-        >= config.required_hits(kvs.field)
-        for kvs in keys
+    return CoverageProfile(pub.pub_id, tuple(
+        len(spec.values(pub, config) & keys.per_field(field).selected)
+        >= spec.required(config)
+        for field, spec in FIELD_SPECS.items()
     ))
 
 
@@ -181,28 +180,12 @@ class SpecialtyApproximation:
         return pub_id in self.member_set
 
 
-def _field_indexes(
-    corpus: Corpus, config: KeysConfig
-) -> dict[FieldKind, Mapping[str, frozenset[str]]]:
-    """The corpus index each field's key values are looked up in."""
-    if config.author_scope is AuthorScope.AUTO:
-        raise InvalidConfig("coverage needs a resolved author scope")
-    return {
-        FieldKind.CELL: corpus.by_cell,
-        FieldKind.TITLE_WORD: corpus.by_title_word,
-        FieldKind.AUTHOR: (corpus.by_reprint_author_key
-                           if config.author_scope is AuthorScope.REPRINT_ONLY
-                           else corpus.by_author_key),
-        FieldKind.REFERENCE: corpus.by_reference,
-    }
-
-
 def covered_ids(
     corpus: Corpus,
     keys: KeyValueSets,
     candidate_ids: Iterable[str],
 ) -> dict[FieldKind, frozenset[str]]:
-    """Per field, the candidates that the key values cover.
+    """Per field in canonical order, the candidates the key values cover.
 
     Counts each candidate's hits over the selected values' postings, so
     publications the key values never reach are never touched.  For key
@@ -215,18 +198,19 @@ def covered_ids(
     if unknown:
         raise UnknownPubId(min(unknown))
     config = keys.config
-    indexes = _field_indexes(corpus, config)
+    if config.author_scope is AuthorScope.AUTO:
+        raise InvalidConfig("coverage needs a resolved author scope")
     covered: dict[FieldKind, frozenset[str]] = {}
-    for kvs in keys:
-        index = indexes[kvs.field]
+    for field, spec in FIELD_SPECS.items():
+        index = spec.index(corpus, config.author_scope)
         hits = [index.get(value, frozenset()) & candidates
-                for value in kvs.values]
-        required = config.required_hits(kvs.field)
+                for value in keys.per_field(field).values]
+        required = spec.required(config)
         if required == 1:   # one hit suffices: a union, no counting
-            covered[kvs.field] = frozenset().union(*hits)
+            covered[field] = frozenset().union(*hits)
         else:
             counts = Counter(chain.from_iterable(hits))
-            covered[kvs.field] = frozenset(
+            covered[field] = frozenset(
                 pid for pid, n in counts.items() if n >= required)
     return covered
 
@@ -245,21 +229,20 @@ def build_approximation(
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
     window_ids = corpus.ids_in_years(window.years())
-    covered = covered_ids(corpus, keys, window_ids)
+    covered = covered_ids(corpus, keys, window_ids).values()
 
     histogram = {k: 0 for k in range(5)}
     subset_sizes = {mask: 0 for mask in all_masks()}
     profiles: dict[str, CoverageProfile] = {}
-    cell, title_word, author, reference = (covered[f] for f in FIELD_ORDER)
     for pid in window_ids:
-        profile = CoverageProfile(pid, pid in cell, pid in title_word,
-                                  pid in author, pid in reference)
+        profile = CoverageProfile(pid, tuple([pid in c for c in covered]))
         histogram[profile.count] += 1
         subset_sizes[profile.mask] += 1
         if profile.count >= min_fields:
             profiles[pid] = profile
 
-    author_index = _field_indexes(corpus, keys.config)[FieldKind.AUTHOR]
+    author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
+        corpus, keys.config.author_scope)
     match_counts = {
         key: len(author_index.get(key, frozenset()) & window_ids)
         for key in keys.authors.values
@@ -317,7 +300,7 @@ def rederive_key_values(
 
 
 APPROX_CSV_COLUMNS = (
-    "pub_id", "year", "cell", "title_word", "author", "reference", "count",
+    "pub_id", "year", *(field.value for field in FIELD_ORDER), "count",
 )
 
 

@@ -97,6 +97,15 @@ def _conflict_window(text: str) -> approx.YearWindow | int:
     return _window(text) if ":" in text else _positive_int(text)
 
 
+def _author_key(text: str) -> str:
+    """An author ``'Surname I'``, checked but passed on as written."""
+    try:
+        corpus_mod.normalize_author_key(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     try:
@@ -199,15 +208,21 @@ def _load_corpus(path: str | Path) -> corpus_mod.Corpus:
 
 def _keys_config(args: argparse.Namespace) -> keys_mod.KeysConfig:
     return keys_mod.KeysConfig(
-        threshold_cell=args.threshold_cell,
-        threshold_title=args.threshold_title,
-        threshold_author=args.threshold_author,
-        threshold_reference=args.threshold_ref,
+        **{spec.threshold: getattr(args, spec.threshold)
+           for spec in keys_mod.FIELD_SPECS.values()},
         min_word_len=args.min_word_len,
         required_title_words=args.title_words_required,
         author_scope=_SCOPE_CHOICES[args.author_scope],
         doi_only_references=args.doi_only_refs,
     )
+
+
+def _seed_block(record: seed_mod.SeedRecord) -> dict:
+    return {
+        "initial": len(record.initial_ids),
+        "added_via_reference": len(record.extended_ids),
+        "unresolved_references": record.unresolved_reference_count,
+    }
 
 
 def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
@@ -252,10 +267,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "n_publications": len(loaded),
         "year_range": [years[0], years[-1]] if years else None,
         "index_sizes": {
-            "cells": len(loaded.by_cell),
-            "title_words": len(loaded.by_title_word),
-            "authors": len(loaded.by_author_key),
-            "references": len(loaded.by_reference),
+            spec.attr: len(spec.index(loaded, keys_mod.AuthorScope.ALL_AUTHORS))
+            for spec in keys_mod.FIELD_SPECS.values()
         },
     }
     if args.out:
@@ -288,11 +301,7 @@ def cmd_seed(args: argparse.Namespace) -> int:
     record = _build_seed(args, loaded)
     out = _out_dir(args)
     run.emit(out / "seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
-    run.stats = {
-        "initial": len(record.initial_ids),
-        "added_via_reference": len(record.extended_ids),
-        "unresolved_references": record.unresolved_reference_count,
-    }
+    run.stats = _seed_block(record)
     run.write_manifest(out)
     print(f"seed: {len(record.initial_ids)} initial + "
           f"{len(record.extended_ids)} added via references "
@@ -328,14 +337,8 @@ def cmd_keys(args: argparse.Namespace) -> int:
     run.warnings.extend(keys.warnings())
     summary = {
         "config": {"keys": keys.config.to_dict(), "extend": args.extend},
-        "seed": {
-            "initial": len(record.initial_ids),
-            "added_via_reference": len(record.extended_ids),
-            "unresolved_references": record.unresolved_reference_count,
-        },
-        "fields": {
-            kvs.field.value: _field_block(kvs) for kvs in keys
-        },
+        "seed": _seed_block(record),
+        "fields": {kvs.field.value: _field_block(kvs) for kvs in keys},
     }
     run.emit_json(out / "summary.json", summary)
     run.write_manifest(out)
@@ -372,11 +375,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
             "min_fields": args.min_fields,
             "window": str(args.window),
         },
-        "seed": {
-            "initial": len(record.initial_ids),
-            "added_via_reference": len(record.extended_ids),
-            "unresolved_references": record.unresolved_reference_count,
-        },
+        "seed": _seed_block(record),
         "fields": {kvs.field.value: _field_block(kvs) for kvs in keys},
         "seed_coverage_histogram": {str(k): v for k, v in histogram.items()},
         "approximation": {
@@ -460,9 +459,12 @@ def _check_corpus_matches_run(run: _Run, run_dir: Path) -> None:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         recorded = manifest["inputs"]["corpus"]["sha256"]
-    except (OSError, json.JSONDecodeError, KeyError):
-        return
-    if recorded != run.inputs["corpus"]["sha256"]:
+    except (OSError, ValueError, RecursionError, KeyError, TypeError):
+        recorded = None
+    if not isinstance(recorded, str):
+        run.warnings.append(
+            f"{manifest_path} records no corpus digest; corpus not checked")
+    elif recorded != run.inputs["corpus"]["sha256"]:
         run.warnings.append(
             "corpus digest differs from the one recorded in the run manifest"
         )
@@ -677,6 +679,7 @@ def _add_keys_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold-author", type=_threshold, default=0.8,
                         help="author coverage threshold (default 0.8)")
     parser.add_argument("--threshold-ref", type=_threshold, default=0.8,
+                        dest="threshold_reference", metavar="THRESHOLD_REF",
                         help="reference coverage threshold (default 0.8)")
     parser.add_argument("--min-word-len", type=_positive_int, default=5,
                         help="minimum title word length (default 5)")
@@ -740,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--run", required=True,
                    help="directory written by the approx command")
-    p.add_argument("--focal",
+    p.add_argument("--focal", type=_author_key,
                    help="focal author ('Surname I') to exclude along with "
                         "conflicted co-authors")
     p.add_argument("--conflict-window", type=_conflict_window,

@@ -360,6 +360,18 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
         raise SchemaError(line_no, str(exc)) from exc
 
 
+# Each inverted index of a Corpus: its attribute, a publication's values
+_INDEXED_VALUES = {
+    "by_cell": lambda pub: (pub.cell.key,),
+    "by_title_word": lambda pub: pub.title_tokens,
+    "by_author_key": lambda pub: pub.author_keys,
+    "by_reprint_author_key": lambda pub: (
+        () if pub.reprint_author is None else (pub.reprint_author_key,)),
+    "by_reference": lambda pub: pub.references,
+    "by_year": lambda pub: (pub.year,),
+}
+
+
 @dataclass(frozen=True)
 class Corpus:
     """An immutable publication collection with per-field inverted indexes.
@@ -403,42 +415,22 @@ class Corpus:
         """Index a publication stream.  Raises :class:`DuplicatePubId`.
 
         Postings are gathered in lists (each field value of a publication
-        is distinct, so no list repeats an id) and each becomes a
-        frozenset once, its list freed as it goes.
+        is distinct, so no list repeats an id), one index at a time, and
+        each becomes a frozenset once, its list freed as it goes.
         """
         pubs: dict[str, Publication] = {}
-        by_cell: defaultdict[str, list[str]] = defaultdict(list)
-        by_word: defaultdict[str, list[str]] = defaultdict(list)
-        by_author: defaultdict[str, list[str]] = defaultdict(list)
-        by_reprint: defaultdict[str, list[str]] = defaultdict(list)
-        by_ref: defaultdict[str, list[str]] = defaultdict(list)
-        by_year: defaultdict[int, list[str]] = defaultdict(list)
         for pub in publications:
             if pub.pub_id in pubs:
                 raise DuplicatePubId(pub.pub_id)
-            pid = pub.pub_id
-            pubs[pid] = pub
-            by_cell[pub.cell.key].append(pid)
-            for word in pub.title_tokens:
-                by_word[word].append(pid)
-            for key in pub.author_keys:
-                by_author[key].append(pid)
-            if pub.reprint_author is not None:
-                by_reprint[pub.reprint_author_key].append(pid)
-            for ref in pub.references:
-                by_ref[ref].append(pid)
-            by_year[pub.year].append(pid)
-        freeze = lambda d: {k: frozenset(d.pop(k)) for k in list(d)}
-        return cls(
-            publications=pubs,
-            by_cell=freeze(by_cell),
-            by_title_word=freeze(by_word),
-            by_author_key=freeze(by_author),
-            by_reprint_author_key=freeze(by_reprint),
-            by_reference=freeze(by_ref),
-            by_year=freeze(by_year),
-            ingest_report=ingest_report,
-        )
+            pubs[pub.pub_id] = pub
+        indexes = {}
+        for name, values in _INDEXED_VALUES.items():
+            lists = defaultdict(list)
+            for pid, pub in pubs.items():
+                for value in values(pub):
+                    lists[value].append(pid)
+            indexes[name] = {k: frozenset(lists.pop(k)) for k in list(lists)}
+        return cls(publications=pubs, ingest_report=ingest_report, **indexes)
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

@@ -14,8 +14,9 @@ A publication counts as covered by a field's selection when
 * author: any of its in-scope author keys is selected;
 * reference: any of its references is selected.
 
-:meth:`KeysConfig.required_hits` gives the count each rule needs.  All
-four selections of :func:`compute_all_keys` share one resolved seed.
+:data:`FIELD_SPECS` is the one place a field is defined; every layer
+loops over it.  All four selections of :func:`compute_all_keys` share
+one resolved seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from enum import Enum
 from functools import cached_property
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Corpus, Publication
 from .errors import EmptySeed, InvalidConfig, Unsatisfiable, UnknownPubId
@@ -42,11 +44,6 @@ class FieldKind(Enum):
     TITLE_WORD = "title_word"
     AUTHOR = "author"
     REFERENCE = "reference"
-
-
-FIELD_ORDER: tuple[FieldKind, ...] = (
-    FieldKind.CELL, FieldKind.TITLE_WORD, FieldKind.AUTHOR, FieldKind.REFERENCE,
-)
 
 
 class AuthorScope(Enum):
@@ -63,6 +60,50 @@ class AuthorScope(Enum):
 
 
 REPRINT_AUTO_MIN_SHARE = 0.9
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """One field: its :class:`KeyValueSets` and :class:`KeysConfig`
+    threshold attributes, a publication's values, the corpus index they
+    are posted in (under a resolved author scope), and the selected
+    values a publication needs to be covered.
+    """
+
+    attr: str
+    threshold: str
+    values: Callable[[Publication, "KeysConfig"], frozenset[str]]
+    index: Callable[[Corpus, AuthorScope], Mapping[str, frozenset[str]]]
+    required: Callable[["KeysConfig"], int] = lambda config: 1
+
+
+# in canonical field order: cell, title word, author, reference
+FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
+    FieldKind.CELL: FieldSpec(
+        "cells", "threshold_cell",
+        values=lambda pub, config: frozenset((pub.cell.key,)),
+        index=lambda corpus, scope: corpus.by_cell),
+    FieldKind.TITLE_WORD: FieldSpec(
+        "title_words", "threshold_title",
+        values=lambda pub, config: frozenset(
+            t for t in pub.title_tokens if len(t) >= config.min_word_len),
+        index=lambda corpus, scope: corpus.by_title_word,
+        required=lambda config: config.required_title_words),
+    FieldKind.AUTHOR: FieldSpec(
+        "authors", "threshold_author",
+        values=lambda pub, config: in_scope_author_keys(
+            pub, config.author_scope),
+        index=lambda corpus, scope: (
+            corpus.by_reprint_author_key
+            if scope is AuthorScope.REPRINT_ONLY else corpus.by_author_key)),
+    FieldKind.REFERENCE: FieldSpec(
+        "references", "threshold_reference",
+        values=lambda pub, config: (pub.doi_references
+                                    if config.doi_only_references
+                                    else pub.references),
+        index=lambda corpus, scope: corpus.by_reference),
+})
+FIELD_ORDER: tuple[FieldKind, ...] = tuple(FIELD_SPECS)
 
 
 @dataclass(frozen=True)
@@ -83,8 +124,7 @@ class KeysConfig:
     doi_only_references: bool = False
 
     def __post_init__(self):
-        for name in ("threshold_cell", "threshold_title",
-                     "threshold_author", "threshold_reference"):
+        for name in [spec.threshold for spec in FIELD_SPECS.values()]:
             t = getattr(self, name)
             if not isinstance(t, (int, float)) or not 0 < t <= 1:
                 raise InvalidConfig(f"{name} must lie in (0, 1], got {t!r}")
@@ -94,16 +134,11 @@ class KeysConfig:
             raise InvalidConfig("required_title_words must be >= 1")
 
     def threshold_for(self, field: FieldKind) -> float:
-        return {
-            FieldKind.CELL: self.threshold_cell,
-            FieldKind.TITLE_WORD: self.threshold_title,
-            FieldKind.AUTHOR: self.threshold_author,
-            FieldKind.REFERENCE: self.threshold_reference,
-        }[field]
+        return getattr(self, FIELD_SPECS[field].threshold)
 
     def required_hits(self, field: FieldKind) -> int:
         """Selected values a publication needs to be covered in ``field``."""
-        return self.required_title_words if field is FieldKind.TITLE_WORD else 1
+        return FIELD_SPECS[field].required(self)
 
     def resolved_for_seed(self, pubs: Sequence[Publication]) -> "KeysConfig":
         """Pin AUTO author scope for a concrete seed (no-op otherwise)."""
@@ -141,21 +176,6 @@ def in_scope_author_keys(pub: Publication, scope: AuthorScope) -> frozenset[str]
         key = pub.reprint_author_key
         return frozenset((key,)) if key is not None else frozenset()
     raise InvalidConfig("author scope AUTO is unresolved; resolve per seed first")
-
-
-def extract_field_values(
-    pub: Publication, field: FieldKind, config: KeysConfig
-) -> frozenset[str]:
-    """A publication's value set for one field under a config."""
-    if field is FieldKind.CELL:
-        return frozenset((pub.cell.key,))
-    if field is FieldKind.TITLE_WORD:
-        return frozenset(
-            t for t in pub.title_tokens if len(t) >= config.min_word_len
-        )
-    if field is FieldKind.AUTHOR:
-        return in_scope_author_keys(pub, config.author_scope)
-    return pub.doi_references if config.doi_only_references else pub.references
 
 
 def homonym_surnames(
@@ -206,8 +226,8 @@ def field_frequencies(
     counting rule.
     """
     pubs, config = _resolve_seed(corpus, seed, config)
-    return dict(Counter(value for pub in pubs
-                        for value in extract_field_values(pub, field, config)))
+    values = FIELD_SPECS[field].values
+    return dict(Counter(v for pub in pubs for v in values(pub, config)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +307,10 @@ def _select(
     """:func:`select_key_values` on a resolved seed and config."""
     threshold = config.threshold_for(field)
     required = config.required_hits(field)
+    values = FIELD_SPECS[field].values
     posting: dict[str, list[str]] = defaultdict(list)
     for pub in pubs:
-        for value in extract_field_values(pub, field, config):
+        for value in values(pub, config):
             posting[value].append(pub.pub_id)
     n_unique = len(posting)
 
@@ -349,16 +370,11 @@ class KeyValueSets:
     config: KeysConfig
 
     def per_field(self, field: FieldKind) -> KeyValueSet:
-        return {
-            FieldKind.CELL: self.cells,
-            FieldKind.TITLE_WORD: self.title_words,
-            FieldKind.AUTHOR: self.authors,
-            FieldKind.REFERENCE: self.references,
-        }[field]
+        return getattr(self, FIELD_SPECS[field].attr)
 
     def __iter__(self) -> Iterator[KeyValueSet]:
-        return iter((self.cells, self.title_words, self.authors,
-                     self.references))
+        """The selections in canonical field order."""
+        return (getattr(self, spec.attr) for spec in FIELD_SPECS.values())
 
     def warnings(self) -> list[str]:
         out = []
@@ -391,14 +407,10 @@ def compute_all_keys(
     cell, title word, author, reference).
     """
     pubs, config = _resolve_seed(corpus, seed, config)
-    picked = {field: _select(pubs, config, field) for field in FIELD_ORDER}
-    return KeyValueSets(
-        cells=picked[FieldKind.CELL],
-        title_words=picked[FieldKind.TITLE_WORD],
-        authors=picked[FieldKind.AUTHOR],
-        references=picked[FieldKind.REFERENCE],
-        config=config,
-    )
+    return KeyValueSets(config=config, **{
+        spec.attr: _select(pubs, config, field)
+        for field, spec in FIELD_SPECS.items()
+    })
 
 
 KEY_CSV_COLUMNS = ("field", "rank", "value", "frequency", "cumulative_coverage")

@@ -134,6 +134,25 @@ def test_keys_command_writes_selection(workspace):
     assert header == "field,rank,value,frequency,cumulative_coverage"
 
 
+def test_threshold_flags_reach_their_own_config_fields(workspace):
+    out_dir = workspace["root"] / "keys_thresholds"
+    flags = {"--threshold-cell": ("threshold_cell", 0.31),
+             "--threshold-title": ("threshold_title", 0.42),
+             "--threshold-author": ("threshold_author", 0.53),
+             "--threshold-ref": ("threshold_reference", 0.64)}
+    argv = [arg for flag, (_, value) in flags.items()
+            for arg in (flag, str(value))]
+    result = run_cli("keys", str(workspace["corpus"]),
+                     "--ids", str(workspace["ids"]), *argv,
+                     "--out", str(out_dir))
+    assert result.returncode == 0, result.stderr
+    config = json.loads((out_dir / "summary.json").read_text())["config"]
+    assert {name: config["keys"][name] for name, _ in flags.values()} == \
+        dict(flags.values())
+    assert "--threshold-ref THRESHOLD_REF" in run_cli("approx",
+                                                      "--help").stdout
+
+
 def test_approx_run_dir_contents(workspace):
     run_dir = workspace["run"]
     for name in ("manifest.json", "seed.csv", "keys.csv",
@@ -298,6 +317,22 @@ def test_corpus_digest_warning_is_printed(workspace, tmp_path, command):
         "manifest"]
 
 
+@pytest.mark.parametrize("manifest", [
+    b"[]", b'{"inputs": {"corpus": 5}}', b'{"inputs": "\xff\xfe"}',
+], ids=["list", "corpus-not-an-object", "not-utf8"])
+def test_unusable_run_manifest_skips_the_digest_check(workspace, tmp_path,
+                                                      manifest):
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    (run / "manifest.json").write_bytes(manifest)
+    result = run_cli("coverage", str(workspace["corpus"]), "--run", str(run),
+                     "--ids", str(workspace["ids"]))
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    [warning] = result.stderr.splitlines()
+    assert warning.startswith("warning: ")
+
+
 def test_unknown_seed_id_exits_1(workspace, tmp_path):
     ids = tmp_path / "ids.txt"
     ids.write_text("ghost-publication\n", encoding="utf-8")
@@ -422,6 +457,12 @@ def evaluate_with_truth(text):
     pytest.param(lambda ws, tmp: [*on_run("reviewers")(ws, tmp),
                                   "--conflict-window", "0"],
                  2, id="conflict-window-0"),
+    pytest.param(lambda ws, tmp: [*on_run("reviewers")(ws, tmp),
+                                  "--focal", "x"],
+                 2, id="focal-not-an-author-key"),
+    pytest.param(lambda ws, tmp: [*on_run("reviewers")(ws, tmp),
+                                  "--focal", ""],
+                 2, id="focal-empty"),
     pytest.param(out_under_file, 2, id="out-under-regular-file"),
     pytest.param(seed_with_corpus_line("1" * 5000), 2,
                  id="corpus-5000-digit-int"),

@@ -1,0 +1,26 @@
+"""Smoke test: every demo script runs to completion on the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # the demos write into tempfile.mkdtemp() directories: keep them here
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "TMPDIR": str(tmp_path)}
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]

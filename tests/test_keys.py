@@ -11,7 +11,8 @@ from specialty_approx import (
 )
 from specialty_approx.errors import EmptySeed, InvalidConfig, Unsatisfiable
 from specialty_approx.keys import (
-    FIELD_ORDER, KEY_CSV_COLUMNS, in_scope_author_keys, write_key_values_csv,
+    FIELD_ORDER, FIELD_SPECS, KEY_CSV_COLUMNS, in_scope_author_keys,
+    write_key_values_csv,
 )
 from test_corpus import minimal_record
 
@@ -328,3 +329,26 @@ def test_key_values_csv_round_trip(tmp_path):
 
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(KEY_CSV_COLUMNS)
+
+
+# ----------------------------------------------------------- field table
+
+@pytest.mark.parametrize("scope", [AuthorScope.ALL_AUTHORS,
+                                   AuthorScope.REPRINT_ONLY])
+@pytest.mark.parametrize("doi_only", [False, True])
+@pytest.mark.parametrize("min_word_len", [1, 5])
+def test_field_values_are_posted_in_the_field_index(scope, doi_only,
+                                                    min_word_len):
+    # the two columns the coverage engine and coverage_profile each read
+    corpus = records_to_corpus(
+        make_random_records(np.random.default_rng(23), 80))
+    config = KeysConfig(min_word_len=min_word_len, author_scope=scope,
+                        doi_only_references=doi_only)
+    for field, spec in FIELD_SPECS.items():
+        index = spec.index(corpus, scope)
+        n_values = 0
+        for pub in corpus:
+            for value in spec.values(pub, config):
+                assert pub.pub_id in index.get(value, ()), (field, value)
+                n_values += 1
+        assert n_values > 0, field
