@@ -11,6 +11,8 @@ cover in at least three of the four fields.  The generator's ground
 truth then tells us exactly how precise that approximation is.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -41,6 +43,7 @@ config = GeneratorConfig(
 )
 
 workdir = Path(tempfile.mkdtemp(prefix="specialty_demo_"))
+atexit.register(shutil.rmtree, workdir)  # scratch files go at exit
 corpus_path = workdir / "corpus.jsonl"
 truth_path = workdir / "truth.jsonl"
 generate(config, corpus_path, truth_path)

@@ -11,6 +11,8 @@ covered everywhere at once — so the measured 3-of-4 share lands
 above that yardstick.  This script measures the gap.
 """
 
+import atexit
+import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +49,7 @@ config = GeneratorConfig(
     cross_contamination=0.10,
 )
 workdir = Path(tempfile.mkdtemp(prefix="specialty_demo_"))
+atexit.register(shutil.rmtree, workdir)  # scratch files go at exit
 generate(config, workdir / "corpus.jsonl", workdir / "truth.jsonl")
 corpus = ingest(workdir / "corpus.jsonl")
 truth = GroundTruth.read_jsonl(workdir / "truth.jsonl")

@@ -10,6 +10,8 @@ whose publication counts blend several people (homonyms).  The ranking
 keeps every removal on the record, so nothing disappears silently.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -38,6 +40,7 @@ config = GeneratorConfig(
     cross_contamination=0.10,
 )
 workdir = Path(tempfile.mkdtemp(prefix="specialty_demo_"))
+atexit.register(shutil.rmtree, workdir)  # scratch files go at exit
 generate(config, workdir / "corpus.jsonl", workdir / "truth.jsonl")
 corpus = ingest(workdir / "corpus.jsonl")
 truth = GroundTruth.read_jsonl(workdir / "truth.jsonl")
@@ -82,7 +85,8 @@ for reason, count in by_reason.items():
     print(f"  {reason.value:<20} {count}")
 
 write_rankings_csv(ranking, workdir / "rankings.csv", top=25)
-print(f"\nshortlist written to {workdir / 'rankings.csv'}")
+rows = (workdir / "rankings.csv").read_text(encoding="utf-8").splitlines()
+print(f"\nrankings.csv: {rows[0]!r} header, {len(rows) - 1} rows")
 
 # ---------------------------------------------------------------------
 # 4. Ranking straight from the selected author key values is also

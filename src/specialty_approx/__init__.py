@@ -38,7 +38,8 @@ from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
                    homonym_surnames, select_key_values, write_key_values_csv)
 from .seed import (Provenance, SeedRecord, build_seed_record, write_seed_csv)
 from .syngen import (GeneratorConfig, GroundTruth, SpecialtyParams,
-                     build_records, evaluate_recovery, generate)
+                     build_records, evaluate_recovery, generate,
+                     write_corpus)
 
 __version__ = "0.1.0"
 
@@ -64,5 +65,6 @@ __all__ = [
     "mutual_coverage", "normalize_author_key", "parse_record",
     "rank_authors", "rederive_key_values", "seed_coverage_histogram",
     "select_key_values", "tokenize_title", "write_approximation_csv",
-    "write_key_values_csv", "write_rankings_csv", "write_seed_csv",
+    "write_corpus", "write_key_values_csv", "write_rankings_csv",
+    "write_seed_csv",
 ]

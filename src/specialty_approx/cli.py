@@ -11,9 +11,13 @@ Subcommands mirror the pipeline phases plus the downstream tools:
 * ``generate``   synthesize a corpus with ground-truth labels
 * ``evaluate``   precision/recall of an ``approx`` run against ground truth
 
+Commands open with ``_load`` (corpus plus input digests) and derive
+through ``_derive`` (seed -> keys -> approximation); ``approx`` is
+``keys`` plus a window, extending its artifacts and ``summary.json``.
 ``reviewers``, ``coverage`` and ``evaluate`` re-derive an ``approx`` run
 from the initial ids in its ``seed.csv`` plus ``summary.json["config"]``,
 and exit 2 when a stored CSV artifact differs from the re-derivation.
+Their ``share_in_approximation`` is over the record's own publications.
 
 Every command writes a ``manifest.json`` (arguments, sha256 input
 digests, outputs, warnings, wall time) next to its outputs.  Primary
@@ -206,6 +210,31 @@ def _load_corpus(path: str | Path) -> corpus_mod.Corpus:
     return loaded
 
 
+def _load(run: _Run, args: argparse.Namespace,
+          *input_names: str) -> corpus_mod.Corpus:
+    """Load ``args.corpus``; record its digest and the named inputs'."""
+    loaded = _load_corpus(args.corpus)
+    for name in ("corpus", *input_names):
+        run.add_input(name, getattr(args, name))
+    return loaded
+
+
+def _derive(loaded, initial_ids, extend, keys_config, window=None,
+            min_fields=3):
+    """Seed -> key values -> approximation, as far as the arguments go.
+
+    Returns ``(seed, keys, approximation)``: keys are None without a
+    ``keys_config``, the approximation is None without a ``window``.
+    """
+    record = seed_mod.build_seed_record(loaded, initial_ids, extend=extend)
+    if keys_config is None:
+        return record, None, None
+    keys = keys_mod.compute_all_keys(loaded, record, keys_config)
+    result = (None if window is None
+              else approx.build_approximation(loaded, keys, window, min_fields))
+    return record, keys, result
+
+
 def _keys_config(args: argparse.Namespace) -> keys_mod.KeysConfig:
     return keys_mod.KeysConfig(
         **{spec.threshold: getattr(args, spec.threshold)
@@ -286,19 +315,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 2 if report.rejected else 0
 
 
-def _build_seed(args, loaded: corpus_mod.Corpus) -> seed_mod.SeedRecord:
-    ids = _read_ids(args.ids)
-    return seed_mod.build_seed_record(loaded, ids, extend=args.extend)
-
-
 def cmd_seed(args: argparse.Namespace) -> int:
     run = _Run("seed", {
         "corpus": args.corpus, "ids": args.ids, "extend": args.extend,
     })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run.add_input("ids", args.ids)
-    record = _build_seed(args, loaded)
+    loaded = _load(run, args, "ids")
+    record, _, _ = _derive(loaded, _read_ids(args.ids), args.extend, None)
     out = _out_dir(args)
     run.emit(out / "seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
     run.stats = _seed_block(record)
@@ -322,63 +344,32 @@ def _artifacts(loaded, record, keys, result=None) -> dict:
 
 
 def cmd_keys(args: argparse.Namespace) -> int:
-    run = _Run("keys", {
-        "corpus": args.corpus, "ids": args.ids, "extend": args.extend,
-        "keys_config": _keys_config(args).to_dict(),
-    })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run.add_input("ids", args.ids)
-    record = _build_seed(args, loaded)
-    keys = keys_mod.compute_all_keys(loaded, record, _keys_config(args))
-    out = _out_dir(args)
-    for name, write in _artifacts(loaded, record, keys).items():
-        run.emit(out / name, write)
-    run.warnings.extend(keys.warnings())
-    summary = {
-        "config": {"keys": keys.config.to_dict(), "extend": args.extend},
-        "seed": _seed_block(record),
-        "fields": {kvs.field.value: _field_block(kvs) for kvs in keys},
-    }
-    run.emit_json(out / "summary.json", summary)
-    run.write_manifest(out)
-    for kvs in keys:
-        print(f"{kvs.field.value}: {len(kvs)} key value(s), coverage "
-              f"{kvs.achieved_coverage:.4f} (threshold {kvs.threshold})")
-    run.print_warnings()
-    return 0
-
-
-def cmd_approx(args: argparse.Namespace) -> int:
-    run = _Run("approx", {
-        "corpus": args.corpus, "ids": args.ids, "extend": args.extend,
-        "keys_config": _keys_config(args).to_dict(),
-        "window": str(args.window), "min_fields": args.min_fields,
-    })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run.add_input("ids", args.ids)
-    record = _build_seed(args, loaded)
-    keys = keys_mod.compute_all_keys(loaded, record, _keys_config(args))
-    histogram = approx.seed_coverage_histogram(loaded, record, keys)
-    result = approx.build_approximation(loaded, keys, args.window,
-                                        args.min_fields)
+    """``keys``, and ``approx``: its ``--window`` adds the approximation."""
+    window = getattr(args, "window", None)
+    keys_config = _keys_config(args)
+    config = {"extend": args.extend}
+    if window is not None:
+        config.update(window=str(window), min_fields=args.min_fields)
+    run = _Run(args.command, {"corpus": args.corpus, "ids": args.ids,
+                              "keys_config": keys_config.to_dict(), **config})
+    loaded = _load(run, args, "ids")
+    record, keys, result = _derive(loaded, _read_ids(args.ids), args.extend,
+                                   keys_config, window,
+                                   config.get("min_fields", 3))
     out = _out_dir(args)
     for name, write in _artifacts(loaded, record, keys, result).items():
         run.emit(out / name, write)
     run.warnings.extend(keys.warnings())
-    thresholds = [keys.config.threshold_for(f) for f in keys_mod.FIELD_ORDER]
     summary = {
-        "config": {
-            "keys": keys.config.to_dict(),
-            "extend": args.extend,
-            "min_fields": args.min_fields,
-            "window": str(args.window),
-        },
+        "config": {"keys": keys.config.to_dict(), **config},
         "seed": _seed_block(record),
         "fields": {kvs.field.value: _field_block(kvs) for kvs in keys},
-        "seed_coverage_histogram": {str(k): v for k, v in histogram.items()},
-        "approximation": {
+    }
+    if result is not None:
+        histogram = approx.seed_coverage_histogram(loaded, record, keys)
+        summary["seed_coverage_histogram"] = {
+            str(k): v for k, v in histogram.items()}
+        summary["approximation"] = {
             "window": str(result.window),
             "min_fields": result.min_fields,
             "n_members": len(result),
@@ -386,25 +377,33 @@ def cmd_approx(args: argparse.Namespace) -> int:
             "histogram": {str(k): v for k, v in result.histogram.items()},
             "subset_sizes": dict(result.subset_sizes),
             "expected_inclusion_rate": approx.expected_inclusion_rate(
-                thresholds, args.min_fields
-            ),
-        },
-        "key_author_match_counts": dict(result.key_author_match_counts),
-    }
+                [kvs.threshold for kvs in keys], result.min_fields),
+        }
+        summary["key_author_match_counts"] = dict(
+            result.key_author_match_counts)
+        run.stats = {"n_members": len(result),
+                     "n_in_window": result.n_in_window}
     run.emit_json(out / "summary.json", summary)
-    run.stats = {"n_members": len(result), "n_in_window": result.n_in_window}
     run.write_manifest(out)
-    print(f"approximation: {len(result)} member(s) of {result.n_in_window} "
-          f"in window {result.window} (min_fields={result.min_fields})")
+    if result is None:
+        for kvs in keys:
+            print(f"{kvs.field.value}: {len(kvs)} key value(s), coverage "
+                  f"{kvs.achieved_coverage:.4f} (threshold {kvs.threshold})")
+    else:
+        print(f"approximation: {len(result)} member(s) of "
+              f"{result.n_in_window} in window {result.window} "
+              f"(min_fields={result.min_fields})")
     run.print_warnings()
     return 0
 
 
-def _rederive_run(run_dir: Path, loaded: corpus_mod.Corpus):
+def _rederive_run(run: _Run, run_dir: Path, loaded: corpus_mod.Corpus):
     """Re-derive an approx run and check its stored CSVs byte for byte.
 
+    A corpus whose digest differs from the run manifest's only warns.
     Returns the key values, the approximation and the extend flag.
     """
+    _check_corpus_matches_run(run, run_dir)
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise InvalidConfig(f"not an approx run dir: no {summary_path}")
@@ -434,9 +433,8 @@ def _rederive_run(run_dir: Path, loaded: corpus_mod.Corpus):
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FileUnreadable(f"cannot read {seed_path}: {exc}") from exc
     try:
-        record = seed_mod.build_seed_record(loaded, initial, extend=extend)
-        keys = keys_mod.compute_all_keys(loaded, record, keys_config)
-        result = approx.build_approximation(loaded, keys, window, min_fields)
+        record, keys, result = _derive(loaded, initial, extend, keys_config,
+                                       window, min_fields)
     except SpecialtyApproxError as exc:
         raise RunMismatch(
             f"{run_dir} cannot be re-derived on this corpus: {exc}") from exc
@@ -476,11 +474,8 @@ def cmd_reviewers(args: argparse.Namespace) -> int:
         "conflict_window": str(args.conflict_window), "top": args.top,
         "source": args.source, "scope": args.scope,
     })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run_dir = Path(args.run)
-    keys, approximation, extend = _rederive_run(run_dir, loaded)
-    _check_corpus_matches_run(run, run_dir)
+    loaded = _load(run, args)
+    keys, approximation, extend = _rederive_run(run, Path(args.run), loaded)
 
     conflict_window = args.conflict_window
     if isinstance(conflict_window, int):
@@ -499,38 +494,29 @@ def cmd_reviewers(args: argparse.Namespace) -> int:
 
     candidates = []
     for rank, entry in enumerate(ranking.top(args.top), start=1):
-        record_ids = loaded.by_author_key.get(entry.author_key, frozenset())
+        # every ranked key is an author key of some corpus publication
+        record_ids = loaded.by_author_key[entry.author_key]
         item = {
             "rank": rank,
             "author_key": entry.author_key,
             "publication_count": entry.publication_count,
             "record_size": len(record_ids),
-            "share_in_approximation": None,
+            "share_in_approximation": (
+                len(record_ids & approximation.member_set) / len(record_ids)),
             "key_coverage_of_approximation": None,
             "key_derivation_warning": None,
         }
-        if record_ids:
-            try:
-                cand_seed = seed_mod.build_seed_record(
-                    loaded, record_ids, extend=extend
-                )
-                cand_keys = keys_mod.compute_all_keys(loaded, cand_seed,
-                                                      keys.config)
-                mutual = analytics.mutual_coverage(
-                    entry.author_key, cand_seed, cand_keys,
-                    approximation, loaded,
-                )
-                item["share_in_approximation"] = mutual.share_in_approximation
-                item["key_coverage_of_approximation"] = {
-                    f.value: v
-                    for f, v in mutual.key_coverage_of_approximation.items()
-                }
-            except Unsatisfiable as exc:
-                item["key_derivation_warning"] = str(exc)
-                item["share_in_approximation"] = (
-                    len(record_ids & approximation.member_set)
-                    / len(record_ids)
-                )
+        try:
+            _, cand_keys, _ = _derive(loaded, record_ids, extend, keys.config)
+            mutual = analytics.mutual_coverage(
+                entry.author_key, record_ids, cand_keys, approximation, loaded,
+            )
+            item["key_coverage_of_approximation"] = {
+                f.value: v
+                for f, v in mutual.key_coverage_of_approximation.items()
+            }
+        except Unsatisfiable as exc:
+            item["key_derivation_warning"] = str(exc)
         candidates.append(item)
 
     out = _out_dir(args)
@@ -566,12 +552,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
         "corpus": args.corpus, "run": args.run, "ids": args.ids,
         "min_fields": args.min_fields,
     })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run.add_input("ids", args.ids)
-    run_dir = Path(args.run)
-    keys, approximation, _ = _rederive_run(run_dir, loaded)
-    _check_corpus_matches_run(run, run_dir)
+    loaded = _load(run, args, "ids")
+    keys, approximation, _ = _rederive_run(run, Path(args.run), loaded)
 
     ids = _read_ids(args.ids)
     if not ids:
@@ -608,18 +590,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = syngen.GeneratorConfig.load(args.config)
     run.add_input("config", args.config)
     out = _out_dir(args)
-    corpus_path = out / "corpus.jsonl"
-    truth_path = out / "truth.jsonl"
     records, truth = syngen.build_records(config)
-
-    def write_corpus(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-
-    run.emit(corpus_path, write_corpus)
-    run.emit(truth_path, lambda p: truth.write_jsonl(p))
+    run.emit(out / "corpus.jsonl", lambda p: syngen.write_corpus(records, p))
+    run.emit(out / "truth.jsonl", lambda p: truth.write_jsonl(p))
     per_label = {
         sp.label: sp.n_publications for sp in config.specialties
     }
@@ -635,12 +608,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "corpus": args.corpus, "run": args.run, "truth": args.truth,
         "target": args.target,
     })
-    loaded = _load_corpus(args.corpus)
-    run.add_input("corpus", args.corpus)
-    run.add_input("truth", args.truth)
-    run_dir = Path(args.run)
-    _, approximation, _ = _rederive_run(run_dir, loaded)
-    _check_corpus_matches_run(run, run_dir)
+    loaded = _load(run, args, "truth")
+    _, approximation, _ = _rederive_run(run, Path(args.run), loaded)
     truth = syngen.GroundTruth.read_jsonl(args.truth)
     precision, recall = syngen.evaluate_recovery(
         approximation, truth, args.target, loaded
@@ -734,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-fields", type=_min_fields, default=3,
                    help="fields that must cover a member (default 3)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_approx)
+    p.set_defaults(func=cmd_keys)
 
     p = sub.add_parser(
         "reviewers",

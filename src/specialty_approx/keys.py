@@ -126,12 +126,18 @@ class KeysConfig:
     def __post_init__(self):
         for name in [spec.threshold for spec in FIELD_SPECS.values()]:
             t = getattr(self, name)
-            if not isinstance(t, (int, float)) or not 0 < t <= 1:
+            if (isinstance(t, bool) or not isinstance(t, (int, float))
+                    or not 0 < t <= 1):
                 raise InvalidConfig(f"{name} must lie in (0, 1], got {t!r}")
-        if self.min_word_len < 1:
-            raise InvalidConfig("min_word_len must be >= 1")
-        if self.required_title_words < 1:
-            raise InvalidConfig("required_title_words must be >= 1")
+        for name in ("min_word_len", "required_title_words"):
+            n = getattr(self, name)
+            if type(n) is not int or n < 1:
+                raise InvalidConfig(f"{name} must be an int >= 1, got {n!r}")
+        for name, kind in (("author_scope", AuthorScope),
+                           ("doi_only_references", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidConfig(f"{name} must be a {kind.__name__}, "
+                                    f"got {getattr(self, name)!r}")
 
     def threshold_for(self, field: FieldKind) -> float:
         return getattr(self, FIELD_SPECS[field].threshold)
@@ -159,12 +165,12 @@ class KeysConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "KeysConfig":
-        kwargs = dict(data)
-        if "author_scope" in kwargs:
-            kwargs["author_scope"] = AuthorScope(kwargs["author_scope"])
         try:
+            kwargs = dict(data)
+            if "author_scope" in kwargs:
+                kwargs["author_scope"] = AuthorScope(kwargs["author_scope"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidConfig(str(exc)) from exc
 
 

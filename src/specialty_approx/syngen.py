@@ -28,7 +28,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -176,15 +176,10 @@ class GeneratorConfig:
 class GroundTruth:
     """Specialty membership written alongside a generated corpus.
 
-    ``labels`` maps publication id to specialty label.  ``pools`` keeps
-    each specialty's value pools in popularity-rank order (field name ->
-    values); loaded sidecars carry labels only.
+    ``labels`` maps publication id to specialty label.
     """
 
     labels: Mapping[str, str]
-    pools: Mapping[str, Mapping[str, tuple[str, ...]]] = dataclasses.field(
-        default_factory=dict
-    )
 
     def specialty_of(self, pub_id: str) -> str | None:
         return self.labels.get(pub_id)
@@ -244,7 +239,6 @@ class _Pools:
         decay = 1.0 - sp.cell_concentration
         w = sp.cell_concentration * decay ** np.arange(sp.n_core_cells)
         self.cell_weights = w / w.sum()
-        self.cell_keys = ["|".join(sorted(c)) for c in self.cell_categories]
         self.sources = [
             [f"{label}src{j:02d}{m}" for m in range(3)]
             for j in range(sp.n_core_cells)
@@ -285,14 +279,6 @@ class _Pools:
         rr = np.arange(1, len(self.ref_pool) + 1, dtype=float)
         rw = rr ** -sp.reference_skew_exponent
         self.ref_weights = rw / rw.sum()
-
-    def pools_dict(self) -> dict[str, tuple[str, ...]]:
-        return {
-            "cells": tuple(self.cell_keys),
-            "title_words": tuple(self.vocab),
-            "authors": tuple(self.author_keys),
-            "references": tuple(self.ref_pool),
-        }
 
 
 def _draw_grouped(
@@ -495,14 +481,15 @@ def build_records(
                 "references": sorted(refs),
             })
 
-    truth = GroundTruth(
-        labels=labels,
-        pools={
-            sp.label: pools[i].pools_dict()
-            for i, sp in enumerate(config.specialties)
-        },
-    )
-    return records, truth
+    return records, GroundTruth(labels=labels)
+
+
+def write_corpus(records: Iterable[Mapping], path: str | Path) -> None:
+    """Write publication records as a JSON-lines corpus (sorted keys)."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True))
+            handle.write("\n")
 
 
 def generate(
@@ -516,10 +503,7 @@ def generate(
     which is also written to ``truth_path`` when given.
     """
     records, truth = build_records(config)
-    with open(corpus_path, "w", encoding="utf-8", newline="") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    write_corpus(records, corpus_path)
     if truth_path is not None:
         truth.write_jsonl(truth_path)
     return truth

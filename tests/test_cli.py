@@ -1,15 +1,18 @@
 """End-to-end command-line tests (each command run as a subprocess)."""
 
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from specialty_approx import GeneratorConfig, SpecialtyParams
+from specialty_approx import GeneratorConfig, SpecialtyParams, cli, ingest
 from test_corpus import minimal_record
 
+ROOT = Path(__file__).resolve().parent.parent
 CLI = (sys.executable, "-m", "specialty_approx")
 WINDOW = "2010:2012"
 
@@ -221,6 +224,30 @@ def test_reviewers_excludes_focal_author(workspace):
     assert focal_key not in kept
 
 
+def test_reviewer_share_is_the_coverage_share_of_own_ids(workspace, tmp_path):
+    # both reports measure share_in_approximation over the record's own
+    # publications, whatever the run's seed extension did
+    result = run_cli("reviewers", str(workspace["corpus"]),
+                     "--run", str(workspace["run"]), "--top", "5",
+                     "--out", str(tmp_path / "reviewers"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads(
+        (tmp_path / "reviewers" / "reviewer_report.json").read_text())
+    by_author_key = ingest(workspace["corpus"]).by_author_key
+    for item in report["top_candidates"]:
+        ids_path = tmp_path / "own_ids.txt"
+        ids_path.write_text(
+            "\n".join(sorted(by_author_key[item["author_key"]])) + "\n")
+        result = run_cli("coverage", str(workspace["corpus"]),
+                         "--run", str(workspace["run"]),
+                         "--ids", str(ids_path))
+        assert result.returncode == 0, result.stderr
+        coverage = json.loads(result.stdout)
+        assert coverage["record_size"] == item["record_size"]
+        assert coverage["share_in_approximation"] == \
+            item["share_in_approximation"], item["author_key"]
+
+
 def test_coverage_command(workspace):
     out_dir = workspace["root"] / "coverage_out"
     result = run_cli("coverage", str(workspace["corpus"]),
@@ -249,6 +276,20 @@ def test_evaluate_command(workspace):
     assert 0.0 <= payload["recall"] <= 1.0
     assert payload["n_members"] > 0
     assert payload["target"] == "alpha"
+
+
+def test_readme_command_examples_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert len(examples) >= 8
+    parser = cli.build_parser()
+    for argv in examples:
+        assert argv[0] == "specialty-approx", argv
+        parser.parse_args(argv[1:])
 
 
 # -------------------------------------------------------------- exit codes

@@ -18,9 +18,12 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # the demos write into tempfile.mkdtemp() directories: keep them here
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-           "TMPDIR": str(tmp_path)}
+           "TMPDIR": str(tmpdir)}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                             env=env, capture_output=True, text=True,
                             timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmpdir.iterdir()), "demo left files in the temp dir"

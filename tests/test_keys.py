@@ -35,6 +35,16 @@ def test_config_validation():
         KeysConfig(min_word_len=0)
     with pytest.raises(InvalidConfig):
         KeysConfig(required_title_words=0)
+    with pytest.raises(InvalidConfig):
+        KeysConfig(threshold_cell=True)
+    with pytest.raises(InvalidConfig):
+        KeysConfig(min_word_len=2.5)
+    with pytest.raises(InvalidConfig):
+        KeysConfig(required_title_words=True)
+    with pytest.raises(InvalidConfig):
+        KeysConfig(doi_only_references="no")
+    with pytest.raises(InvalidConfig):
+        KeysConfig(author_scope="all_authors")
     KeysConfig(threshold_title=1.0)  # closed upper bound is allowed
 
 
@@ -49,6 +59,12 @@ def test_config_round_trips_through_dict():
     assert KeysConfig.from_dict(config.to_dict()) == config
     with pytest.raises(InvalidConfig):
         KeysConfig.from_dict({"no_such_knob": 1})
+    with pytest.raises(InvalidConfig):
+        KeysConfig.from_dict({"author_scope": "bogus"})
+    with pytest.raises(InvalidConfig):
+        KeysConfig.from_dict({"min_word_len": 2.5})
+    with pytest.raises(InvalidConfig):
+        KeysConfig.from_dict({"doi_only_references": "no"})
 
 
 def test_auto_scope_resolution_at_the_90_percent_boundary():
