@@ -228,7 +228,7 @@ def build_approximation(
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    window_ids = corpus.ids_in_years(window.years())
+    window_ids = corpus.ids_in_years(y for y in corpus.by_year if y in window)
     covered = covered_ids(corpus, keys, window_ids).values()
 
     histogram = {k: 0 for k in range(5)}

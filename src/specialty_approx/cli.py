@@ -19,10 +19,16 @@ from the initial ids in its ``seed.csv`` plus ``summary.json["config"]``,
 and exit 2 when a stored CSV artifact differs from the re-derivation.
 Their ``share_in_approximation`` is over the record's own publications.
 
-Every command writes a ``manifest.json`` (arguments, sha256 input
-digests, outputs, warnings, wall time) next to its outputs.  Primary
-outputs (CSV/JSON artifacts) are byte-deterministic for identical inputs
-and flags; the manifest embeds the wall time and is not.
+Every command has one lifecycle.  ``main`` makes the ``_Run`` record
+(command, ``arguments``: every parsed option but ``--out``) and calls
+``cmd_x(run, args)``, which records inputs, stats and warnings and
+writes outputs by name through ``run.emit``: ``--out`` is made on the
+first write (exit 2 if it cannot be), and nothing is written without
+it.  Then ``run.finish()`` writes ``manifest.json`` (arguments, sha256
+input digests, outputs, stats, warnings, wall time) if anything was
+written and prints each warning once.  Primary outputs are
+byte-deterministic for identical inputs and flags; the manifest embeds
+the wall time and is not.
 
 Exit codes: 0 success; 1 pipeline failure on valid input (empty seed,
 unsatisfiable threshold, ...); 2 unusable input (unreadable file,
@@ -121,26 +127,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic(path: Path, write_fn) -> None:
-    """Write through a sibling temp file, then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, payload) -> None:
-    _atomic(path, lambda tmp: tmp.write_text(
+def _json_writer(payload):
+    return lambda path: path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
-    ))
+    )
 
 
 class _Run:
-    """Collects manifest material while a command executes."""
+    """One command run: its arguments, inputs, outputs and warnings.
 
-    def __init__(self, command: str, arguments: dict):
-        self.command = command
-        self.arguments = arguments
+    ``main`` makes it from the parsed arguments and calls ``finish`` once
+    the command returns.  ``emit`` writes into ``--out``, creating it on
+    the first write; without ``--out`` it writes nothing.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command
+        self.arguments = {
+            name: (value if value is None
+                   or isinstance(value, (str, int, float)) else str(value))
+            for name, value in vars(args).items()
+            if name not in ("func", "command", "out")
+        }
+        self.out = None if args.out is None else Path(args.out)
         self.inputs: dict[str, dict] = {}
         self.outputs: list[str] = []
         self.warnings: list[str] = []
@@ -151,29 +161,44 @@ class _Run:
         path = Path(path)
         self.inputs[name] = {"path": str(path), "sha256": _sha256(path)}
 
-    def emit(self, path: Path, write_fn) -> None:
-        _atomic(path, write_fn)
-        self.outputs.append(path.name)
+    def emit(self, name: str, write_fn) -> None:
+        """Write ``--out``/``name`` with ``write_fn(path)``."""
+        if self.out is None:
+            return
+        self._write(name, write_fn)
+        self.outputs.append(name)
 
-    def emit_json(self, path: Path, payload) -> None:
-        _write_json(path, payload)
-        self.outputs.append(path.name)
+    def emit_json(self, name: str, payload) -> None:
+        self.emit(name, _json_writer(payload))
 
-    def write_manifest(self, out_dir: Path) -> None:
-        manifest = {
-            "command": self.command,
-            "arguments": self.arguments,
-            "inputs": self.inputs,
-            "outputs": sorted(self.outputs),
-            "stats": self.stats,
-            "warnings": self.warnings,
-            "wall_time_seconds": round(time.perf_counter() - self._t0, 6),
-        }
-        _write_json(out_dir / "manifest.json", manifest)
-
-    def print_warnings(self) -> None:
+    def finish(self) -> None:
+        """Write ``manifest.json`` if anything was written; print warnings."""
+        if self.outputs:
+            self._write("manifest.json", _json_writer({
+                "command": self.command,
+                "arguments": self.arguments,
+                "inputs": self.inputs,
+                "outputs": sorted(self.outputs),
+                "stats": self.stats,
+                "warnings": self.warnings,
+                "wall_time_seconds": round(time.perf_counter() - self._t0, 6),
+            }))
         for warning in self.warnings:
             print(f"warning: {warning}", file=sys.stderr)
+
+    def _write(self, name: str, write_fn) -> None:
+        """Write through a sibling temp file, then rename into place."""
+        path, tmp = self.out / name, self.out / (name + ".tmp")
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CorpusInputError(
+                f"cannot create output directory {self.out}: {exc}") from exc
+        try:
+            write_fn(tmp)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise CorpusInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_ids(path: str | Path) -> list[str]:
@@ -267,20 +292,9 @@ def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
     }
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CorpusInputError(
-            f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 # ------------------------------------------------------------- subcommands
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    run = _Run("ingest", {"corpus": args.corpus, "strict": args.strict})
+def cmd_ingest(run: _Run, args: argparse.Namespace) -> int:
     loaded = corpus_mod.ingest(
         args.corpus, corpus_mod.IngestOptions(strict=args.strict)
     )
@@ -300,12 +314,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             for spec in keys_mod.FIELD_SPECS.values()
         },
     }
-    if args.out:
-        out = _out_dir(args)
-        run.stats = {"accepted": report.accepted,
-                     "rejected": len(report.rejected)}
-        run.emit_json(out / "ingest_report.json", payload)
-        run.write_manifest(out)
+    run.stats = {"accepted": report.accepted, "rejected": len(report.rejected)}
+    run.emit_json("ingest_report.json", payload)
     print(f"accepted {report.accepted} of {report.total_lines} line(s), "
           f"{len(report.rejected)} rejected")
     for r in report.rejected[:20]:
@@ -315,16 +325,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 2 if report.rejected else 0
 
 
-def cmd_seed(args: argparse.Namespace) -> int:
-    run = _Run("seed", {
-        "corpus": args.corpus, "ids": args.ids, "extend": args.extend,
-    })
+def cmd_seed(run: _Run, args: argparse.Namespace) -> int:
     loaded = _load(run, args, "ids")
     record, _, _ = _derive(loaded, _read_ids(args.ids), args.extend, None)
-    out = _out_dir(args)
-    run.emit(out / "seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
+    run.emit("seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
     run.stats = _seed_block(record)
-    run.write_manifest(out)
     print(f"seed: {len(record.initial_ids)} initial + "
           f"{len(record.extended_ids)} added via references "
           f"({record.unresolved_reference_count} unresolved reference(s))")
@@ -343,22 +348,18 @@ def _artifacts(loaded, record, keys, result=None) -> dict:
     return writers
 
 
-def cmd_keys(args: argparse.Namespace) -> int:
+def cmd_keys(run: _Run, args: argparse.Namespace) -> int:
     """``keys``, and ``approx``: its ``--window`` adds the approximation."""
     window = getattr(args, "window", None)
-    keys_config = _keys_config(args)
     config = {"extend": args.extend}
     if window is not None:
         config.update(window=str(window), min_fields=args.min_fields)
-    run = _Run(args.command, {"corpus": args.corpus, "ids": args.ids,
-                              "keys_config": keys_config.to_dict(), **config})
     loaded = _load(run, args, "ids")
     record, keys, result = _derive(loaded, _read_ids(args.ids), args.extend,
-                                   keys_config, window,
+                                   _keys_config(args), window,
                                    config.get("min_fields", 3))
-    out = _out_dir(args)
     for name, write in _artifacts(loaded, record, keys, result).items():
-        run.emit(out / name, write)
+        run.emit(name, write)
     run.warnings.extend(keys.warnings())
     summary = {
         "config": {"keys": keys.config.to_dict(), **config},
@@ -383,8 +384,7 @@ def cmd_keys(args: argparse.Namespace) -> int:
             result.key_author_match_counts)
         run.stats = {"n_members": len(result),
                      "n_in_window": result.n_in_window}
-    run.emit_json(out / "summary.json", summary)
-    run.write_manifest(out)
+    run.emit_json("summary.json", summary)
     if result is None:
         for kvs in keys:
             print(f"{kvs.field.value}: {len(kvs)} key value(s), coverage "
@@ -393,7 +393,6 @@ def cmd_keys(args: argparse.Namespace) -> int:
         print(f"approximation: {len(result)} member(s) of "
               f"{result.n_in_window} in window {result.window} "
               f"(min_fields={result.min_fields})")
-    run.print_warnings()
     return 0
 
 
@@ -419,8 +418,10 @@ def _rederive_run(run: _Run, run_dir: Path, loaded: corpus_mod.Corpus):
         keys_config = keys_mod.KeysConfig.from_dict(config["keys"])
         window = approx.YearWindow.parse(config["window"])
         min_fields, extend = config["min_fields"], config["extend"]
-        if min_fields not in range(1, 5):
+        if type(min_fields) is not int or not 1 <= min_fields <= 4:
             raise ValueError(f"min_fields {min_fields!r}")
+        if type(extend) is not bool:
+            raise TypeError(f"extend {extend!r}")
     except (AttributeError, LookupError, TypeError, ValueError,
             SpecialtyApproxError) as exc:
         raise FileUnreadable(
@@ -468,12 +469,7 @@ def _check_corpus_matches_run(run: _Run, run_dir: Path) -> None:
         )
 
 
-def cmd_reviewers(args: argparse.Namespace) -> int:
-    run = _Run("reviewers", {
-        "corpus": args.corpus, "run": args.run, "focal": args.focal,
-        "conflict_window": str(args.conflict_window), "top": args.top,
-        "source": args.source, "scope": args.scope,
-    })
+def cmd_reviewers(run: _Run, args: argparse.Namespace) -> int:
     loaded = _load(run, args)
     keys, approximation, extend = _rederive_run(run, Path(args.run), loaded)
 
@@ -519,8 +515,7 @@ def cmd_reviewers(args: argparse.Namespace) -> int:
             item["key_derivation_warning"] = str(exc)
         candidates.append(item)
 
-    out = _out_dir(args)
-    run.emit(out / "rankings.csv",
+    run.emit("rankings.csv",
              lambda p: analytics.write_rankings_csv(ranking, p))
     report = {
         "source": ranking.source.value,
@@ -536,22 +531,16 @@ def cmd_reviewers(args: argparse.Namespace) -> int:
         "top_candidates": candidates,
         "warnings": list(ranking.warnings),
     }
-    run.emit_json(out / "reviewer_report.json", report)
+    run.emit_json("reviewer_report.json", report)
     run.stats = {"n_ranked": len(ranking.entries),
                  "n_excluded": len(ranking.excluded)}
-    run.write_manifest(out)
     print(f"ranked {len(ranking.entries)} author(s), "
           f"excluded {len(ranking.excluded)}; top {min(args.top, len(ranking.entries))} "
-          f"written to {out / 'rankings.csv'}")
-    run.print_warnings()
+          f"written to {run.out / 'rankings.csv'}")
     return 0
 
 
-def cmd_coverage(args: argparse.Namespace) -> int:
-    run = _Run("coverage", {
-        "corpus": args.corpus, "run": args.run, "ids": args.ids,
-        "min_fields": args.min_fields,
-    })
+def cmd_coverage(run: _Run, args: argparse.Namespace) -> int:
     loaded = _load(run, args, "ids")
     keys, approximation, _ = _rederive_run(run, Path(args.run), loaded)
 
@@ -576,38 +565,27 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             for f, v in mutual.key_coverage_of_approximation.items()
         },
     }
-    if args.out:
-        out = _out_dir(args)
-        run.emit_json(out / "coverage.json", payload)
-        run.write_manifest(out)
+    run.emit_json("coverage.json", payload)
     print(json.dumps(payload, sort_keys=True, indent=2))
-    run.print_warnings()
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    run = _Run("generate", {"config": args.config})
+def cmd_generate(run: _Run, args: argparse.Namespace) -> int:
     config = syngen.GeneratorConfig.load(args.config)
     run.add_input("config", args.config)
-    out = _out_dir(args)
     records, truth = syngen.build_records(config)
-    run.emit(out / "corpus.jsonl", lambda p: syngen.write_corpus(records, p))
-    run.emit(out / "truth.jsonl", lambda p: truth.write_jsonl(p))
+    run.emit("corpus.jsonl", lambda p: syngen.write_corpus(records, p))
+    run.emit("truth.jsonl", lambda p: truth.write_jsonl(p))
     per_label = {
         sp.label: sp.n_publications for sp in config.specialties
     }
     run.stats = {"n_publications": len(records), "specialties": per_label}
-    run.write_manifest(out)
     print(f"generated {len(records)} publication(s) across "
-          f"{len(config.specialties)} specialt(ies) into {out}")
+          f"{len(config.specialties)} specialt(ies) into {run.out}")
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = _Run("evaluate", {
-        "corpus": args.corpus, "run": args.run, "truth": args.truth,
-        "target": args.target,
-    })
+def cmd_evaluate(run: _Run, args: argparse.Namespace) -> int:
     loaded = _load(run, args, "truth")
     _, approximation, _ = _rederive_run(run, Path(args.run), loaded)
     truth = syngen.GroundTruth.read_jsonl(args.truth)
@@ -620,12 +598,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "precision": precision,
         "recall": recall,
     }
-    if args.out:
-        out = _out_dir(args)
-        run.emit_json(out / "evaluation.json", payload)
-        run.write_manifest(out)
+    run.emit_json("evaluation.json", payload)
     print(json.dumps(payload, sort_keys=True, indent=2))
-    run.print_warnings()
     return 0
 
 
@@ -767,8 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = _Run(args)
     try:
-        return args.func(args)
+        code = args.func(run, args)
+        run.finish()
+        return code
     except CorpusInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,7 +169,11 @@ class GeneratorConfig:
             data = decode_json_line(text, 1)
         except SchemaError as exc:
             raise SchemaError(exc.line_no, f"{path}: {exc.reason}") from exc
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except InvalidConfig as exc:
+            raise FileUnreadable(f"{path} holds no usable generator config: "
+                                 f"{exc.__cause__ or exc!r}") from exc
 
 
 @dataclass(frozen=True)

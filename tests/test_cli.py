@@ -1,6 +1,7 @@
 """End-to-end command-line tests (each command run as a subprocess)."""
 
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -292,6 +293,103 @@ def test_readme_command_examples_parse():
         parser.parse_args(argv[1:])
 
 
+def test_approx_window_span_costs_nothing(workspace, tmp_path):
+    # the window's ids come from the corpus's own years, so a window of a
+    # trillion years runs as fast as one spanning the corpus
+    years = sorted({json.loads(line)["year"] for line in
+                    workspace["corpus"].read_text(encoding="utf-8")
+                    .splitlines()})
+    written = []
+    for tag, window in (("span", f"{years[0]}:{years[-1]}"),
+                        ("huge", "1:1000000000000")):
+        out = tmp_path / tag
+        result = subprocess.run(
+            [*CLI, "approx", str(workspace["corpus"]),
+             "--ids", str(workspace["ids"]), f"--window={window}",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        written.append((out / "approximation.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+# --------------------------------------------------------------- lifecycle
+
+LIFECYCLE = {
+    "generate": lambda ws: ["generate", "--config", str(ws["config_path"])],
+    "ingest": lambda ws: ["ingest", str(ws["corpus"])],
+    "seed": lambda ws: ["seed", str(ws["corpus"]), "--ids", str(ws["ids"]),
+                        "--no-extend"],
+    "keys": lambda ws: ["keys", str(ws["corpus"]), "--ids", str(ws["ids"]),
+                        "--threshold-ref", "0.7", "--author-scope", "all"],
+    "approx": lambda ws: ["approx", str(ws["corpus"]), "--ids", str(ws["ids"]),
+                          "--window", WINDOW, "--min-fields", "2"],
+    "reviewers": lambda ws: ["reviewers", str(ws["corpus"]),
+                             "--run", str(ws["run"])],
+    "reviewers-window": lambda ws: ["reviewers", str(ws["corpus"]),
+                                    "--run", str(ws["run"]),
+                                    "--conflict-window", WINDOW,
+                                    "--scope", "reprint"],
+    "coverage": lambda ws: ["coverage", str(ws["corpus"]),
+                            "--run", str(ws["run"]), "--ids", str(ws["ids"])],
+    "evaluate": lambda ws: ["evaluate", str(ws["corpus"]),
+                            "--run", str(ws["run"]),
+                            "--truth", str(ws["truth"]), "--target", "alpha"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFECYCLE))
+def test_manifest_records_parsed_options_and_outputs(workspace, tmp_path,
+                                                     case):
+    out = tmp_path / "out"
+    argv = [*LIFECYCLE[case](workspace), "--out", str(out)]
+    result = run_cli(*argv)
+    assert result.returncode == 0, result.stderr
+    parsed = vars(cli.build_parser().parse_args(argv))
+    options = {name: value for name, value in parsed.items()
+               if name not in ("func", "command", "out")}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == argv[0]
+    assert manifest["arguments"] == json.loads(json.dumps(options,
+                                                          default=str))
+    assert manifest["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*manifest["outputs"], "manifest.json"])
+
+
+@pytest.mark.parametrize("command", ["ingest", "coverage", "evaluate"])
+def test_without_out_nothing_is_written(workspace, tmp_path, command):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([*CLI, *LIFECYCLE[command](workspace)],
+                            capture_output=True, text=True, cwd=tmp_path,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["reviewers", "coverage", "evaluate"])
+def test_warning_is_printed_and_recorded_once(workspace, tmp_path, command):
+    argv = on_run(command)(workspace, tmp_path)
+    (tmp_path / "run" / "manifest.json").write_bytes(b"[]")
+    out = tmp_path / "out"
+    result = run_cli(*argv, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    [warning] = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert "records no corpus digest" in warning
+    assert result.stderr.splitlines() == [f"warning: {warning}"]
+
+
+def test_unwritable_output_file_exits_2(workspace, tmp_path):
+    out = tmp_path / "out"
+    (out / "seed.csv").mkdir(parents=True)
+    result = run_cli("seed", str(workspace["corpus"]),
+                     "--ids", str(workspace["ids"]), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: cannot write {out / 'seed.csv'}")
+    assert "Traceback" not in result.stderr
+    assert not (out / "manifest.json").exists()
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_malformed_corpus_exits_2(workspace, tmp_path):
@@ -427,6 +525,15 @@ def edit_first_row(path):
                     encoding="utf-8")
 
 
+def set_config(**values):
+    """Overwrite entries of a run's ``summary.json["config"]``."""
+    def damage(path):
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        summary["config"].update(values)
+        path.write_text(json.dumps(summary), encoding="utf-8")
+    return damage
+
+
 def on_run(command, name=None, damage=None):
     """``command`` against a copy of the approx run with one file damaged."""
     def argv(ws, tmp_path):
@@ -517,7 +624,18 @@ def evaluate_with_truth(text):
     pytest.param(generate_with_config("{not json"), 2,
                  id="config-invalid-json"),
     pytest.param(generate_with_config('{"rng_seed": 1e400, "specialties": []}'),
-                 1, id="config-infinite-seed"),
+                 2, id="config-infinite-seed"),
+    pytest.param(generate_with_config('{"specialties": [{"label": "a"}]}'),
+                 2, id="config-missing-rng-seed"),
+    pytest.param(generate_with_config('{"rng_seed": 1, "specialties": 5}'),
+                 2, id="config-specialties-not-a-list"),
+    pytest.param(on_run("evaluate", "summary.json", set_config(extend="no")),
+                 2, id="run-extend-string"),
+    pytest.param(on_run("coverage", "summary.json", set_config(extend=1)),
+                 2, id="run-extend-int"),
+    pytest.param(on_run("reviewers", "summary.json",
+                        set_config(min_fields=3.0)),
+                 2, id="run-min-fields-float"),
     pytest.param(evaluate_with_truth('{"id": "x"}\n'), 2,
                  id="truth-not-a-label"),
     pytest.param(evaluate_with_truth("{not json\n"), 2,
