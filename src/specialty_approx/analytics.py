@@ -7,7 +7,9 @@ co-published with the focal author inside a conflict window.  Peer
 comparison measures how much of a second record falls inside the
 approximation and how much of the approximation the second record's own
 key values cover; both coverage questions go to
-:func:`~specialty_approx.approx.covered_ids` as one batch.
+:func:`~specialty_approx.approx.covered_ids` as one batch, and the share
+covered in enough fields is read off
+:func:`~specialty_approx.approx.coverage_regions`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .approx import SpecialtyApproximation, YearWindow, covered_ids
+from .approx import (SpecialtyApproximation, YearWindow, coverage_regions,
+                     covered_ids)
 from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
                      OutOfRange)
@@ -255,8 +258,9 @@ def coverage_of_record_by_keys(
     ids = _record_ids(record)
     if not ids:
         raise EmptyRecord("record is empty")
-    covered = covered_ids(corpus, keys, ids).values()
-    hit = sum(sum(pid in c for c in covered) >= min_fields for pid in ids)
+    hit = sum(len(region)
+              for flags, region in coverage_regions(corpus, keys, ids).items()
+              if sum(flags) >= min_fields)
     return hit / len(ids)
 
 

@@ -1,14 +1,17 @@
 """Specialty approximation: combine per-field coverage over a year window.
 
 Phase three of the pipeline.  Every corpus publication inside the year
-window gets a four-flag coverage profile (one flag per field, true when
+window has a four-flag coverage profile (one flag per field, true when
 the field's key values cover the publication); those covered in at least
 ``min_fields`` fields form the specialty approximation.
 
 :func:`covered_ids` answers by index intersection which of a batch of
-candidates each field covers; the approximation, the seed histogram and
-the analytics all ask it.  :func:`coverage_profile` evaluates the same
-rules on one publication and is the reference the engine must match.
+candidates each field covers.  :func:`coverage_regions` splits the batch
+by set algebra into its 16 flag regions, so the histogram, the subset
+sizes and the members are read off whole regions and no publication is
+profiled one by one; the approximation, the seed histogram and the
+analytics all ask it.  :func:`coverage_profile` evaluates the same rules
+on one publication and is the reference the engine must match.
 
 Under per-field coverage ``t`` and independence, the chance a seed-like
 publication lands in a >=3-of-4 approximation is
@@ -19,10 +22,9 @@ publication lands in a >=3-of-4 approximation is
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Mapping
 
 from .corpus import Corpus
@@ -126,7 +128,7 @@ class CoverageProfile:
     @property
     def mask(self) -> str:
         """Four-character bitmask in canonical field order, e.g. "1011"."""
-        return "".join("1" if f else "0" for f in self.flags)
+        return _mask(self.flags)
 
     def covers(self, field: FieldKind) -> bool:
         return self.flags[FIELD_ORDER.index(field)]
@@ -145,6 +147,10 @@ def coverage_profile(pub, keys: KeyValueSets) -> CoverageProfile:
     ))
 
 
+def _mask(flags: tuple[bool, ...]) -> str:
+    return "".join("1" if f else "0" for f in flags)
+
+
 def all_masks() -> tuple[str, ...]:
     """All 16 flag-combination masks, sorted."""
     return tuple(format(i, "04b") for i in range(16))
@@ -156,8 +162,9 @@ class SpecialtyApproximation:
 
     ``histogram`` counts every in-window publication by covered-field
     count (bins 0..4 always present); ``subset_sizes`` counts them by
-    exact flag combination (all 16 masks present).  ``profiles`` holds
-    the members' coverage profiles only.
+    exact flag combination (all 16 masks present).  ``member_flags``
+    maps each member to its flag tuple; ``profiles`` holds the members'
+    coverage profiles, built on first read.
     """
 
     member_ids: tuple[str, ...]
@@ -166,12 +173,18 @@ class SpecialtyApproximation:
     n_in_window: int
     histogram: Mapping[int, int]
     subset_sizes: Mapping[str, int]
-    profiles: Mapping[str, CoverageProfile]
+    member_flags: Mapping[str, tuple[bool, ...]]
     key_author_match_counts: Mapping[str, int]
 
     @cached_property
     def member_set(self) -> frozenset[str]:
         return frozenset(self.member_ids)
+
+    @cached_property
+    def profiles(self) -> Mapping[str, CoverageProfile]:
+        """The members' coverage profiles, in member-id order."""
+        return {pid: CoverageProfile(pid, self.member_flags[pid])
+                for pid in self.member_ids}
 
     def __len__(self) -> int:
         return len(self.member_ids)
@@ -187,9 +200,11 @@ def covered_ids(
 ) -> dict[FieldKind, frozenset[str]]:
     """Per field in canonical order, the candidates the key values cover.
 
-    Counts each candidate's hits over the selected values' postings, so
-    publications the key values never reach are never touched.  For key
-    values selected under ``keys.config`` this equals
+    Intersects each selected value's postings with the candidates, so
+    publications the key values never reach are never touched.  Where a
+    field needs several hits, level sets hold the candidates hit at
+    least once, twice, ... so far, in place of a count per candidate.
+    For key values selected under ``keys.config`` this equals
     :func:`coverage_profile` on every candidate.  A candidate absent
     from the corpus raises :class:`UnknownPubId`.
     """
@@ -209,10 +224,45 @@ def covered_ids(
         if required == 1:   # one hit suffices: a union, no counting
             covered[field] = frozenset().union(*hits)
         else:
-            counts = Counter(chain.from_iterable(hits))
-            covered[field] = frozenset(
-                pid for pid, n in counts.items() if n >= required)
+            reached: list[set[str]] = [set() for _ in range(required)]
+            for hit in hits:
+                for j in range(required - 1, 0, -1):
+                    reached[j].update(reached[j - 1].intersection(hit))
+                reached[0].update(hit)
+            covered[field] = frozenset(reached[-1])
     return covered
+
+
+def coverage_regions(
+    corpus: Corpus,
+    keys: KeyValueSets,
+    candidate_ids: Iterable[str],
+) -> dict[tuple[bool, ...], frozenset[str]]:
+    """The candidates split by flag tuple into their 16 coverage regions.
+
+    Region ``flags`` holds the candidates whose coverage profile has
+    exactly those flags.  Every tuple is a key (empty regions included),
+    in :func:`all_masks` order, and the regions partition the
+    candidates.  Built by set algebra on :func:`covered_ids`, one field
+    at a time, with no Python work per candidate.
+    """
+    regions = {(): frozenset(candidate_ids)}
+    for ids in covered_ids(corpus, keys, regions[()]).values():
+        regions = {
+            flags + (hit,): part
+            for flags, region in regions.items()
+            for hit, part in ((False, region - ids), (True, region & ids))
+        }
+    return regions
+
+
+def _histogram(regions: Mapping[tuple[bool, ...], frozenset[str]]
+               ) -> dict[int, int]:
+    """Candidates per covered-field count (bins 0..4)."""
+    histogram = dict.fromkeys(range(len(FIELD_ORDER) + 1), 0)
+    for flags, region in regions.items():
+        histogram[sum(flags)] += len(region)
+    return histogram
 
 
 def build_approximation(
@@ -223,23 +273,23 @@ def build_approximation(
 ) -> SpecialtyApproximation:
     """Assemble the approximation from key values over a year window.
 
-    Members are the in-window publications that :func:`covered_ids`
-    places in at least ``min_fields`` fields.
+    The year window is split into its 16 :func:`coverage_regions`; the
+    histogram and subset sizes are the regions' sizes, and the members
+    are the regions with at least ``min_fields`` flags.  Coverage
+    profiles are built only when :attr:`SpecialtyApproximation.profiles`
+    is first read.
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
     window_ids = corpus.ids_in_years(y for y in corpus.by_year if y in window)
-    covered = covered_ids(corpus, keys, window_ids).values()
+    regions = coverage_regions(corpus, keys, window_ids)
 
-    histogram = {k: 0 for k in range(5)}
-    subset_sizes = {mask: 0 for mask in all_masks()}
-    profiles: dict[str, CoverageProfile] = {}
-    for pid in window_ids:
-        profile = CoverageProfile(pid, tuple([pid in c for c in covered]))
-        histogram[profile.count] += 1
-        subset_sizes[profile.mask] += 1
-        if profile.count >= min_fields:
-            profiles[pid] = profile
+    subset_sizes = {_mask(flags): len(region)
+                    for flags, region in regions.items()}
+    member_flags: dict[str, tuple[bool, ...]] = {}
+    for flags, region in regions.items():
+        if sum(flags) >= min_fields:
+            member_flags.update(dict.fromkeys(region, flags))
 
     author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
         corpus, keys.config.author_scope)
@@ -248,13 +298,13 @@ def build_approximation(
         for key in keys.authors.values
     }
     return SpecialtyApproximation(
-        member_ids=tuple(sorted(profiles)),
+        member_ids=tuple(sorted(member_flags)),
         window=window,
         min_fields=min_fields,
         n_in_window=len(window_ids),
-        histogram=histogram,
+        histogram=_histogram(regions),
         subset_sizes=subset_sizes,
-        profiles=profiles,
+        member_flags=member_flags,
         key_author_match_counts=match_counts,
     )
 
@@ -272,10 +322,8 @@ def seed_coverage_histogram(
     """
     if not seed.all_ids:
         raise EmptyApproximation("seed record is empty")
-    covered = covered_ids(corpus, keys, seed.all_ids).values()
-    counts = Counter(sum(pid in ids for ids in covered)
-                     for pid in seed.all_ids)
-    return {k: counts[k] / len(seed.all_ids) for k in range(5)}
+    counts = _histogram(coverage_regions(corpus, keys, seed.all_ids))
+    return {k: n / len(seed.all_ids) for k, n in counts.items()}
 
 
 def rederive_key_values(
@@ -317,10 +365,10 @@ def write_approximation_csv(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(APPROX_CSV_COLUMNS)
         for pid in approximation.member_ids:
-            profile = approximation.profiles[pid]
+            flags = approximation.member_flags[pid]
             writer.writerow([
                 pid,
                 corpus.publications[pid].year,
-                *(int(f) for f in profile.flags),
-                profile.count,
+                *(int(f) for f in flags),
+                sum(flags),
             ])

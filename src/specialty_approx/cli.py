@@ -23,12 +23,13 @@ Every command has one lifecycle.  ``main`` makes the ``_Run`` record
 (command, ``arguments``: every parsed option but ``--out``) and calls
 ``cmd_x(run, args)``, which records inputs, stats and warnings and
 writes outputs by name through ``run.emit``: ``--out`` is made on the
-first write (exit 2 if it cannot be), and nothing is written without
-it.  Then ``run.finish()`` writes ``manifest.json`` (arguments, sha256
-input digests, outputs, stats, warnings, wall time) if anything was
-written and prints each warning once.  Primary outputs are
-byte-deterministic for identical inputs and flags; the manifest embeds
-the wall time and is not.
+first write, or before ``generate`` starts generating (exit 2 if it
+cannot be), and nothing is written without it.  A write that fails
+leaves no temp file behind.  Then ``run.finish()`` writes
+``manifest.json`` (arguments, sha256 input digests, outputs, stats,
+warnings, wall time) if anything was written and prints each warning
+once.  Primary outputs are byte-deterministic for identical inputs and
+flags; the manifest embeds the wall time and is not.
 
 Exit codes: 0 success; 1 pipeline failure on valid input (empty seed,
 unsatisfiable threshold, ...); 2 unusable input (unreadable file,
@@ -38,6 +39,7 @@ malformed corpus line, duplicate id, bad flag value, mismatched run).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import hashlib
@@ -139,7 +141,8 @@ class _Run:
 
     ``main`` makes it from the parsed arguments and calls ``finish`` once
     the command returns.  ``emit`` writes into ``--out``, creating it on
-    the first write; without ``--out`` it writes nothing.
+    the first write through ``make_out``; without ``--out`` it writes
+    nothing.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -186,18 +189,24 @@ class _Run:
         for warning in self.warnings:
             print(f"warning: {warning}", file=sys.stderr)
 
-    def _write(self, name: str, write_fn) -> None:
-        """Write through a sibling temp file, then rename into place."""
-        path, tmp = self.out / name, self.out / (name + ".tmp")
+    def make_out(self) -> None:
+        """Create ``--out`` (and its parents) if it does not exist yet."""
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CorpusInputError(
                 f"cannot create output directory {self.out}: {exc}") from exc
+
+    def _write(self, name: str, write_fn) -> None:
+        """Write through a sibling temp file, then rename into place."""
+        path, tmp = self.out / name, self.out / (name + ".tmp")
+        self.make_out()
         try:
             write_fn(tmp)
             os.replace(tmp, path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
             raise CorpusInputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -573,6 +582,7 @@ def cmd_coverage(run: _Run, args: argparse.Namespace) -> int:
 def cmd_generate(run: _Run, args: argparse.Namespace) -> int:
     config = syngen.GeneratorConfig.load(args.config)
     run.add_input("config", args.config)
+    run.make_out()   # fail before the generator runs, not after
     records, truth = syngen.build_records(config)
     run.emit("corpus.jsonl", lambda p: syngen.write_corpus(records, p))
     run.emit("truth.jsonl", lambda p: truth.write_jsonl(p))

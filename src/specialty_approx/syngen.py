@@ -28,13 +28,16 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .approx import SpecialtyApproximation
 from .corpus import Corpus, decode_json_line, read_lines
 from .errors import FileUnreadable, InvalidConfig, LabelMismatch, SchemaError
+
+if TYPE_CHECKING:
+    # imported inside the generator functions: commands that only read a
+    # corpus never load numpy
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -227,6 +230,8 @@ class _Pools:
     """Pre-drawn value pools of one specialty (popularity-rank order)."""
 
     def __init__(self, sp: SpecialtyParams, rng: np.random.Generator):
+        import numpy as np
+
         self.params = sp
         label, upper = sp.label, sp.label.upper()
 
@@ -297,6 +302,8 @@ def _draw_grouped(
     Draw order is fixed (groups ascending, publications ascending within
     a group), so output is deterministic for a given generator state.
     """
+    import numpy as np
+
     out: list[np.ndarray | None] = [None] * len(group_of_pub)
     for g in sorted(set(group_of_pub.tolist())):
         idx = np.flatnonzero(group_of_pub == g)
@@ -317,6 +324,8 @@ def _contamination_groups(
     rate: float,
 ) -> np.ndarray:
     """Group index per publication for one field: own or a partner."""
+    import numpy as np
+
     groups = np.full(n_pubs, own)
     mask = rng.random(n_pubs) < rate
     if n_specialties > 1:
@@ -379,6 +388,8 @@ def build_records(
     Records are plain dicts in corpus line-format order; callers can
     serialize them or feed them to the parser directly.
     """
+    import numpy as np
+
     rng = np.random.default_rng(config.rng_seed)
     pools = [_Pools(sp, rng) for sp in config.specialties]
     n_spec = len(config.specialties)

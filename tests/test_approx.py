@@ -9,15 +9,18 @@ import oracles
 from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
     FIELD_ORDER, AuthorScope, FieldKind, KeysConfig, KeyValueSets,
-    YearWindow, build_approximation, build_seed_record, compute_all_keys,
-    coverage_profile, expected_inclusion_probability,
-    expected_inclusion_rate, rederive_key_values, seed_coverage_histogram,
-    select_key_values, write_approximation_csv,
+    SeedRecord, YearWindow, build_approximation, build_seed_record,
+    compute_all_keys, coverage_of_record_by_keys, coverage_profile,
+    expected_inclusion_probability, expected_inclusion_rate,
+    rederive_key_values, seed_coverage_histogram, select_key_values,
+    write_approximation_csv,
 )
-from specialty_approx.approx import APPROX_CSV_COLUMNS, all_masks
+from specialty_approx.approx import (APPROX_CSV_COLUMNS, all_masks,
+                                     coverage_regions)
 from specialty_approx.errors import (
     EmptyApproximation, EmptyWindow, InvalidConfig, OutOfRange, Unsatisfiable,
 )
+from specialty_approx.keys import FIELD_SPECS, KeyValueEntry, KeyValueSet
 from test_corpus import minimal_record
 
 
@@ -277,6 +280,80 @@ def test_key_author_match_counts():
     result = build_approximation(corpus, keys, YearWindow(2010, 2011), 1)
     # three in-window publications carry the selected key author
     assert result.key_author_match_counts == {"WEISS A": 3}
+
+
+def hand_keys(config, **values):
+    """Key-value sets holding exactly the given values, field by field."""
+    def kvs(field, vals):
+        return KeyValueSet(
+            field=field,
+            entries=tuple(KeyValueEntry(v, 1, 1.0) for v in vals),
+            threshold=0.5, achieved_coverage=1.0,
+            n_unique_values=len(vals), n_eligible_values=len(vals))
+    return KeyValueSets(
+        **{spec.attr: kvs(field, values.get(field.value, ()))
+           for field, spec in FIELD_SPECS.items()},
+        config=config)
+
+
+@pytest.mark.parametrize("required_title_words", [1, 2, 3, 9])
+def test_region_split_matches_profiles_on_edge_case_keys(required_title_words):
+    # no cell value selected, an author and a word absent from the index,
+    # and (at 9) more required title words than are selected
+    rng = np.random.default_rng(31)
+    records = make_random_records(rng, 90, years=(2005, 2008))
+    corpus = records_to_corpus(records)
+    words = [w for w in sorted(corpus.by_title_word) if len(w) >= 5][:5]
+    keys = hand_keys(
+        KeysConfig(required_title_words=required_title_words,
+                   author_scope=AuthorScope.ALL_AUTHORS),
+        title_word=[*words, "absentword"],
+        author=[*sorted(corpus.by_author_key)[:4], "NOBODY X"],
+        reference=sorted(corpus.by_reference)[:8],
+    )
+    profile = {pid: coverage_profile(pub, keys)
+               for pid, pub in corpus.publications.items()}
+    assert not any(p.covers(FieldKind.CELL) for p in profile.values())
+    if required_title_words > len(words):
+        assert not any(p.covers(FieldKind.TITLE_WORD)
+                       for p in profile.values())
+
+    window = YearWindow(2005, 2007)
+    window_ids = {pid for pid, pub in corpus.publications.items()
+                  if pub.year in window}
+    regions = coverage_regions(corpus, keys, window_ids)
+    assert sorted("".join(str(int(f)) for f in flags)
+                  for flags in regions) == list(all_masks())
+    for flags, region in regions.items():
+        assert all(profile[pid].flags == flags for pid in region)
+    assert sum(map(len, regions.values())) == len(window_ids)
+
+    for min_fields in (1, 2, 3, 4):
+        result = build_approximation(corpus, keys, window, min_fields)
+        assert result.n_in_window == len(window_ids)
+        assert sum(result.subset_sizes.values()) == result.n_in_window
+        for mask in all_masks():
+            assert result.subset_sizes[mask] == sum(
+                profile[pid].mask == mask for pid in window_ids)
+        for k in range(5):
+            assert result.histogram[k] == sum(
+                profile[pid].count == k for pid in window_ids)
+        members = sorted(pid for pid in window_ids
+                         if profile[pid].count >= min_fields)
+        assert list(result.member_ids) == members
+        assert result.profiles == {pid: profile[pid] for pid in members}
+
+    record = sorted(corpus.publications)[::3]
+    seed = SeedRecord(initial_ids=frozenset(record), extended_ids=frozenset(),
+                      unresolved_references=frozenset())
+    histogram = seed_coverage_histogram(corpus, seed, keys)
+    for k in range(5):
+        assert histogram[k] == sum(
+            profile[pid].count == k for pid in record) / len(record)
+    for min_fields in (1, 2, 3, 4):
+        assert coverage_of_record_by_keys(record, keys, min_fields, corpus) \
+            == sum(profile[pid].count >= min_fields
+                   for pid in record) / len(record)
 
 
 # ------------------------------------------------------------- seed coverage

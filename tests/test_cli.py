@@ -388,6 +388,30 @@ def test_unwritable_output_file_exits_2(workspace, tmp_path):
     assert result.stderr.startswith(f"error: cannot write {out / 'seed.csv'}")
     assert "Traceback" not in result.stderr
     assert not (out / "manifest.json").exists()
+    assert not (out / "seed.csv.tmp").exists()
+
+
+def test_generate_checks_out_before_generating(workspace, tmp_path,
+                                               monkeypatch, capsys):
+    (tmp_path / "out").write_text("", encoding="utf-8")
+
+    def build_records(config):
+        raise AssertionError("generated before --out was made")
+
+    monkeypatch.setattr(cli.syngen, "build_records", build_records)
+    code = cli.main(["generate", "--config", str(workspace["config_path"]),
+                     "--out", str(tmp_path / "out" / "result")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    probe = "import sys, specialty_approx.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- exit codes
