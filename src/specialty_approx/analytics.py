@@ -26,7 +26,7 @@ from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
                      OutOfRange)
 from .keys import (AuthorScope, FieldKind, KeyValueSet, KeyValueSets,
-                   homonym_surnames, in_scope_author_keys)
+                   homonyms_among, in_scope_author_keys)
 from .seed import SeedRecord
 
 
@@ -99,12 +99,11 @@ def _table_from_approximation(
     scope: AuthorScope,
 ) -> tuple[dict[str, int], frozenset[str]]:
     """Candidate counts over member publications, plus homonym surnames."""
-    pubs = [corpus.publications[pid] for pid in approximation.member_ids]
     table: dict[str, int] = defaultdict(int)
-    for pub in pubs:
-        for key in in_scope_author_keys(pub, scope):
+    for pid in approximation.member_ids:
+        for key in in_scope_author_keys(corpus.publications[pid], scope):
             table[key] += 1
-    return dict(table), homonym_surnames(pubs, scope)
+    return dict(table), homonyms_among(table)
 
 
 def rank_authors(

@@ -174,7 +174,6 @@ class SpecialtyApproximation:
     histogram: Mapping[int, int]
     subset_sizes: Mapping[str, int]
     member_flags: Mapping[str, tuple[bool, ...]]
-    key_author_match_counts: Mapping[str, int]
 
     @cached_property
     def member_set(self) -> frozenset[str]:
@@ -281,7 +280,7 @@ def build_approximation(
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    window_ids = corpus.ids_in_years(y for y in corpus.by_year if y in window)
+    window_ids = _window_ids(corpus, window)
     regions = coverage_regions(corpus, keys, window_ids)
 
     subset_sizes = {_mask(flags): len(region)
@@ -290,13 +289,6 @@ def build_approximation(
     for flags, region in regions.items():
         if sum(flags) >= min_fields:
             member_flags.update(dict.fromkeys(region, flags))
-
-    author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
-        corpus, keys.config.author_scope)
-    match_counts = {
-        key: len(author_index.get(key, frozenset()) & window_ids)
-        for key in keys.authors.values
-    }
     return SpecialtyApproximation(
         member_ids=tuple(sorted(member_flags)),
         window=window,
@@ -305,8 +297,29 @@ def build_approximation(
         histogram=_histogram(regions),
         subset_sizes=subset_sizes,
         member_flags=member_flags,
-        key_author_match_counts=match_counts,
     )
+
+
+def key_author_match_counts(
+    corpus: Corpus,
+    keys: KeyValueSets,
+    window: YearWindow,
+) -> dict[str, int]:
+    """In-window publications carrying each selected key author.
+
+    Counted in the author index of the keys' resolved scope, one posting
+    intersection per key; ``approx`` reports them in ``summary.json``.
+    """
+    author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
+        corpus, keys.config.author_scope)
+    window_ids = _window_ids(corpus, window)
+    return {key: len(author_index.get(key, frozenset()) & window_ids)
+            for key in keys.authors.values}
+
+
+def _window_ids(corpus: Corpus, window: YearWindow) -> frozenset[str]:
+    """The corpus's publications inside ``window``, read off its own years."""
+    return corpus.ids_in_years(y for y in corpus.by_year if y in window)
 
 
 def seed_coverage_histogram(

@@ -22,14 +22,17 @@ Their ``share_in_approximation`` is over the record's own publications.
 Every command has one lifecycle.  ``main`` makes the ``_Run`` record
 (command, ``arguments``: every parsed option but ``--out``) and calls
 ``cmd_x(run, args)``, which records inputs, stats and warnings and
-writes outputs by name through ``run.emit``: ``--out`` is made on the
-first write, or before ``generate`` starts generating (exit 2 if it
-cannot be), and nothing is written without it.  A write that fails
-leaves no temp file behind.  Then ``run.finish()`` writes
-``manifest.json`` (arguments, sha256 input digests, outputs, stats,
-warnings, wall time) if anything was written and prints each warning
-once.  Primary outputs are byte-deterministic for identical inputs and
-flags; the manifest embeds the wall time and is not.
+stages outputs by name through ``run.emit`` in a hidden directory
+inside ``--out``: ``--out`` is made on the first write, or before
+``generate`` starts generating (exit 2 if it cannot be), and nothing is
+written without it.  Then ``run.finish()`` adds ``manifest.json``
+(arguments, sha256 input digests, outputs, stats, warnings, wall time)
+if anything was written, checks every target, moves the outputs into
+``--out`` with the manifest last, and prints each warning once.  A run
+that fails leaves ``--out`` as it found it: a failed move puts back the
+files it had already replaced.  Primary outputs are
+byte-deterministic for identical inputs and flags; the manifest embeds
+the wall time and is not.
 
 Exit codes: 0 success; 1 pipeline failure on valid input (empty seed,
 unsatisfiable threshold, ...); 2 unusable input (unreadable file,
@@ -45,6 +48,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -139,10 +143,13 @@ def _json_writer(payload):
 class _Run:
     """One command run: its arguments, inputs, outputs and warnings.
 
-    ``main`` makes it from the parsed arguments and calls ``finish`` once
-    the command returns.  ``emit`` writes into ``--out``, creating it on
-    the first write through ``make_out``; without ``--out`` it writes
-    nothing.
+    ``main`` makes it from the parsed arguments, calls ``finish`` once
+    the command returns and ``discard`` in any case.  ``emit`` writes
+    into a staging directory inside ``--out``, made on the first write
+    (``--out`` is made then too, through ``make_out``), so only ``--out``
+    has to be writable and every move stays on its filesystem; ``finish``
+    moves the staged files into ``--out``, ``manifest.json`` last.
+    Without ``--out`` nothing is written.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -158,6 +165,7 @@ class _Run:
         self.outputs: list[str] = []
         self.warnings: list[str] = []
         self.stats: dict = {}
+        self._staging: Path | None = None
         self._t0 = time.perf_counter()
 
     def add_input(self, name: str, path: str | Path) -> None:
@@ -165,7 +173,7 @@ class _Run:
         self.inputs[name] = {"path": str(path), "sha256": _sha256(path)}
 
     def emit(self, name: str, write_fn) -> None:
-        """Write ``--out``/``name`` with ``write_fn(path)``."""
+        """Stage ``--out``/``name``, written by ``write_fn(path)``."""
         if self.out is None:
             return
         self._write(name, write_fn)
@@ -175,7 +183,11 @@ class _Run:
         self.emit(name, _json_writer(payload))
 
     def finish(self) -> None:
-        """Write ``manifest.json`` if anything was written; print warnings."""
+        """Move the staged outputs into ``--out``; print the warnings.
+
+        ``manifest.json`` is written only if anything else was, and moves
+        last.
+        """
         if self.outputs:
             self._write("manifest.json", _json_writer({
                 "command": self.command,
@@ -186,8 +198,47 @@ class _Run:
                 "warnings": self.warnings,
                 "wall_time_seconds": round(time.perf_counter() - self._t0, 6),
             }))
+            self._move_in([*self.outputs, "manifest.json"])
         for warning in self.warnings:
             print(f"warning: {warning}", file=sys.stderr)
+
+    def _move_in(self, names: list[str]) -> None:
+        """Move the staged ``names`` into ``--out``, all of them or none.
+
+        A target that is a directory fails the run before the first move.
+        Each file a move replaces is kept in the staging directory until
+        every move is done; if one fails, the files already moved in are
+        taken out and the replaced ones put back before the error is
+        raised.
+        """
+        for name in names:
+            if (self.out / name).is_dir():
+                raise CorpusInputError(
+                    f"cannot write {self.out / name}: it is a directory")
+        replaced = self._staging / ".replaced"
+        replaced.mkdir()
+        moved: list[str] = []
+        try:
+            for name in names:
+                if os.path.lexists(self.out / name):
+                    os.replace(self.out / name, replaced / name)
+                moved.append(name)
+                os.replace(self._staging / name, self.out / name)
+        except OSError as exc:
+            for back in reversed(moved):
+                with contextlib.suppress(OSError):
+                    if os.path.lexists(replaced / back):
+                        os.replace(replaced / back, self.out / back)
+                    elif not os.path.lexists(self._staging / back):
+                        os.unlink(self.out / back)
+            raise CorpusInputError(
+                f"cannot write {self.out / name}: {exc}") from exc
+
+    def discard(self) -> None:
+        """Remove the staging directory and whatever is left in it."""
+        if self._staging is not None:
+            shutil.rmtree(self._staging, ignore_errors=True)
+            self._staging = None
 
     def make_out(self) -> None:
         """Create ``--out`` (and its parents) if it does not exist yet."""
@@ -198,16 +249,20 @@ class _Run:
                 f"cannot create output directory {self.out}: {exc}") from exc
 
     def _write(self, name: str, write_fn) -> None:
-        """Write through a sibling temp file, then rename into place."""
-        path, tmp = self.out / name, self.out / (name + ".tmp")
-        self.make_out()
+        """Write ``name`` into the staging directory, made on first use."""
+        if self._staging is None:
+            self.make_out()
+            try:
+                self._staging = Path(
+                    tempfile.mkdtemp(prefix=".staging-", dir=self.out))
+            except OSError as exc:
+                raise CorpusInputError(
+                    f"cannot stage output in {self.out}: {exc}") from exc
         try:
-            write_fn(tmp)
-            os.replace(tmp, path)
+            write_fn(self._staging / name)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-            raise CorpusInputError(f"cannot write {path}: {exc}") from exc
+            raise CorpusInputError(
+                f"cannot write {self.out / name}: {exc}") from exc
 
 
 def _read_ids(path: str | Path) -> list[str]:
@@ -389,8 +444,8 @@ def cmd_keys(run: _Run, args: argparse.Namespace) -> int:
             "expected_inclusion_rate": approx.expected_inclusion_rate(
                 [kvs.threshold for kvs in keys], result.min_fields),
         }
-        summary["key_author_match_counts"] = dict(
-            result.key_author_match_counts)
+        summary["key_author_match_counts"] = approx.key_author_match_counts(
+            loaded, keys, result.window)
         run.stats = {"n_members": len(result),
                      "n_in_window": result.n_in_window}
     run.emit_json("summary.json", summary)
@@ -762,6 +817,8 @@ def main(argv=None) -> int:
     except SpecialtyApproxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        run.discard()
 
 
 if __name__ == "__main__":

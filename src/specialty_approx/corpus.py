@@ -3,9 +3,17 @@
 A corpus is a set of publication records, each carrying the four fields the
 pipeline works with: a cell (the publication's combination of subject
 categories), a title, an author list, and a list of cited reference ids.
-Records arrive as JSON lines; :func:`ingest` parses them into immutable
-:class:`Publication` objects and builds a :class:`Corpus` with per-field
-inverted indexes for fast lookup.
+Records arrive as JSON lines.  :func:`parse_record` checks each decoded
+line's JSON shapes and builds a compact, immutable :class:`Publication`,
+whose constructor checks the record's invariants, so every schema rule is
+written once.  :meth:`Corpus.from_publications` then fills the
+six per-field inverted indexes in one pass over the publications.
+
+A :class:`Publication` stores each field once, in its smallest shared
+form: one :class:`CellId` per distinct category set, one
+:class:`AuthorName` per raw ``(surname, initials)`` pair, one
+:class:`DocType` per label, and interned strings.  Its set-valued fields
+(title words, author keys, references) are computed when they are read.
 """
 
 from __future__ import annotations
@@ -18,13 +26,15 @@ import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DuplicatePubId, EmptyCategorySet, FileUnreadable, SchemaError
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
 _DOI_LIKE = re.compile(r"^(?:doi:)?10\.\d{4,9}/\S+$", re.IGNORECASE)
 # UTF-8 cannot encode a surrogate, which only a JSON "\ud800" escape lets
 # in; str.isascii reads a flag, so only non-ASCII text is searched.
@@ -43,12 +53,13 @@ class DocType(Enum):
     OTHER = "Other"
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def from_label(cls, label: str) -> "DocType":
         """Map a raw label to a member, ignoring case and punctuation.
 
         Unrecognized labels map to ``OTHER`` rather than failing: document
         type never gates inclusion by default, so an exotic label must not
-        reject an otherwise valid record.
+        reject an otherwise valid record.  Cached: a label is folded once.
         """
         folded = re.sub(r"[^a-z]", "", label.lower())
         return _DOC_TYPE_BY_FOLDED.get(folded, cls.OTHER)
@@ -59,9 +70,10 @@ _DOC_TYPE_BY_FOLDED = {
 }
 
 
-@lru_cache(maxsize=65536)
 def _fold_surname(surname: str) -> str:
     """Uppercase a surname and strip diacritics (NFKD fold)."""
+    if surname.isascii():   # NFKD leaves ASCII as it is
+        return sys.intern(surname.upper().strip())
     decomposed = unicodedata.normalize("NFKD", surname)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return sys.intern(stripped.upper().strip())
@@ -79,12 +91,15 @@ class AuthorName:
     first_initial: str
 
     @classmethod
+    @cache
     def from_raw(cls, surname: str, initials: str) -> "AuthorName":
         """Build from raw record values.
 
         Initials may carry periods or whitespace ("J.R. " and "JR" agree).
         Raises ``ValueError`` when the surname is empty or no alphabetic
-        initial exists.
+        initial exists.  Cached until the end of the current
+        :func:`ingest`: every occurrence of a raw pair in a corpus shares
+        one object, and so computes its :attr:`key` once.
         """
         folded = _fold_surname(surname)
         if not folded:
@@ -107,7 +122,7 @@ class AuthorName:
             raise ValueError(f"not an author key: {key!r}")
         return cls.from_raw(surname, initial)
 
-    @property
+    @cached_property
     def key(self) -> str:
         return sys.intern(f"{self.surname} {self.first_initial}")
 
@@ -133,9 +148,9 @@ class CellId:
         canonical = tuple(sorted(set(self.categories)))
         object.__setattr__(self, "categories", canonical)
 
-    @property
+    @cached_property
     def key(self) -> str:
-        # categories never contain "|": enforced at parse time
+        # categories never contain "|": the Publication constructor checks
         return "|".join(self.categories)
 
     def __str__(self) -> str:
@@ -143,8 +158,17 @@ class CellId:
 
 
 def derive_cell(subject_categories: Iterable[str]) -> CellId:
-    """Derive the cell id for a category set (order-insensitive)."""
-    return CellId(tuple(subject_categories))
+    """Derive the cell id for a category set (order-insensitive).
+
+    Equal category sets share one :class:`CellId`, cached until the end
+    of the current :func:`ingest`.
+    """
+    return _cell(tuple(sorted(set(subject_categories))))
+
+
+@cache
+def _cell(categories: tuple[str, ...]) -> CellId:
+    return CellId(categories)
 
 
 def tokenize_title(title: str, min_len: int = 1) -> frozenset[str]:
@@ -155,8 +179,10 @@ def tokenize_title(title: str, min_len: int = 1) -> frozenset[str]:
     or it does not; multiplicity never matters downstream.  Tokens are
     interned, so a word is one string object however many titles hold it.
     """
-    tokens = _TOKEN_SPLIT.split(title.lower())
-    return frozenset(sys.intern(t) for t in tokens if len(t) >= min_len)
+    tokens = _TOKEN.findall(title.lower())
+    if min_len > 1:
+        tokens = [t for t in tokens if len(t) >= min_len]
+    return frozenset(map(sys.intern, tokens))
 
 
 def is_doi_like(reference: str) -> bool:
@@ -164,70 +190,116 @@ def is_doi_like(reference: str) -> bool:
     return bool(_DOI_LIKE.match(reference.strip()))
 
 
-@dataclass(frozen=True)
-class Publication:
-    """One immutable publication record.
+# the constructor's keywords, in order: what repr shows
+_PUBLICATION_FIELDS = (
+    "pub_id", "year", "doc_type", "source_id", "subject_categories",
+    "title", "authors", "reprint_author", "references",
+)
+_KEY_OF = attrgetter("key")
 
-    Construction canonicalizes collection fields (categories sorted and
-    deduplicated, references deduplicated) and enforces the structural
-    invariants every downstream stage relies on.
+
+def _check_year(year) -> None:
+    if not isinstance(year, int) or isinstance(year, bool):
+        raise ValueError("'year' must be an integer")
+
+
+def _check_categories(categories: tuple[str, ...]) -> None:
+    if not categories or not all(categories):
+        raise ValueError("'subject_categories' must be non-empty strings")
+    if any("|" in c for c in categories):   # "|" joins a CellId.key
+        raise ValueError("subject category contains '|'")
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class Publication:
+    """One immutable publication record, stored compactly.
+
+    The constructor checks the record's invariants (an int year, a
+    non-empty set of non-empty categories without ``|``, no
+    self-citation, a reprint index within the author list) and raises
+    ``ValueError`` otherwise.  It keeps each field once, in its smallest
+    shared form: the cached :class:`CellId` of the category set (which
+    holds the sorted, deduplicated categories), the authors with their
+    interned keys, and the distinct references as a sorted tuple, so that
+    equality and hashing over the stored fields treat references as a
+    set.  ``subject_categories``, ``references``, ``title_tokens``,
+    ``author_keys``, ``doi_references`` and ``reprint_author_key`` are
+    computed from those when read, so no record holds a set of its own.
     """
 
     pub_id: str
     year: int
     doc_type: DocType
     source_id: str
-    subject_categories: tuple[str, ...]
+    cell: CellId
     title: str
     authors: tuple[AuthorName, ...]
+    _author_keys: tuple[str, ...]
     reprint_author: int | None
-    references: frozenset[str]
+    _references: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.pub_id:
-            raise ValueError("publication id is empty")
-        if not isinstance(self.year, int) or isinstance(self.year, bool):
-            raise ValueError("year must be an integer")
-        if not self.subject_categories:
-            raise ValueError("subject category set is empty")
-        cats = tuple(sorted(set(self.subject_categories)))
-        object.__setattr__(self, "subject_categories", cats)
-        object.__setattr__(self, "authors", tuple(self.authors))
-        refs = frozenset(self.references)
-        if self.pub_id in refs:
+    def __init__(self, pub_id: str, year: int, doc_type: DocType,
+                 source_id: str, subject_categories: Iterable[str],
+                 title: str, authors: Iterable[AuthorName],
+                 reprint_author: int | None, references: Iterable[str]):
+        _check_year(year)
+        categories = tuple(subject_categories)
+        _check_categories(categories)
+        refs = tuple(sorted(set(references)))
+        if pub_id in refs:
             raise ValueError("publication references itself")
-        object.__setattr__(self, "references", refs)
-        if self.reprint_author is not None:
-            if not self.authors:
+        authors = tuple(authors)
+        if reprint_author is not None:
+            if not authors:
                 raise ValueError("reprint author given but author list empty")
-            if not 0 <= self.reprint_author < len(self.authors):
+            if not 0 <= reprint_author < len(authors):
                 raise ValueError(
-                    f"reprint author index {self.reprint_author} out of range"
-                )
+                    f"reprint author index {reprint_author} out of range")
+        init = object.__setattr__
+        init(self, "pub_id", pub_id)
+        init(self, "year", year)
+        init(self, "doc_type", doc_type)
+        init(self, "source_id", source_id)
+        init(self, "cell", derive_cell(categories))
+        init(self, "title", title)
+        init(self, "authors", authors)
+        init(self, "_author_keys", tuple(map(_KEY_OF, authors)))
+        init(self, "reprint_author", reprint_author)
+        init(self, "_references", refs)
 
-    @cached_property
-    def cell(self) -> CellId:
-        return derive_cell(self.subject_categories)
+    @property
+    def subject_categories(self) -> tuple[str, ...]:
+        """The categories, sorted and deduplicated."""
+        return self.cell.categories
 
-    @cached_property
+    @property
+    def references(self) -> frozenset[str]:
+        return frozenset(self._references)
+
+    @property
     def title_tokens(self) -> frozenset[str]:
         """All tokens of length >= 1; length filters apply at selection."""
         return tokenize_title(self.title, min_len=1)
 
-    @cached_property
+    @property
     def author_keys(self) -> frozenset[str]:
         """Distinct author keys; a pub counts once per author identity."""
-        return frozenset(a.key for a in self.authors)
+        return frozenset(self._author_keys)
 
     @property
     def reprint_author_key(self) -> str | None:
         if self.reprint_author is None:
             return None
-        return self.authors[self.reprint_author].key
+        return self._author_keys[self.reprint_author]
 
-    @cached_property
+    @property
     def doi_references(self) -> frozenset[str]:
-        return frozenset(r for r in self.references if is_doi_like(r))
+        return frozenset(r for r in self._references if is_doi_like(r))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in _PUBLICATION_FIELDS)
+        return f"Publication({shown})"
 
 
 @dataclass(frozen=True)
@@ -275,8 +347,8 @@ def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
             raise SchemaError(
                 line_no, f"author {i} needs string 'surname' and 'initials'"
             )
-        text = surname + initials
-        if not text.isascii() and _SURROGATE.search(text):
+        if (not (surname.isascii() and initials.isascii())
+                and _SURROGATE.search(surname + initials)):
             raise SchemaError(line_no, f"author {i} holds a lone surrogate")
         try:
             out.append(AuthorName.from_raw(surname, initials))
@@ -287,12 +359,12 @@ def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
 
 def _parse_str_list(raw, line_no: int, key: str) -> list[str]:
     """The strings of ``raw``, interned; ``str`` subclasses are copied first."""
-    if not isinstance(raw, list) or any(not isinstance(v, str) for v in raw):
+    if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(str))):
         raise SchemaError(line_no, f"'{key}' must be a list of strings")
     text = "".join(raw)
     if not text.isascii() and _SURROGATE.search(text):
         raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
-    return [sys.intern(v if type(v) is str else str.__str__(v)) for v in raw]
+    return list(map(sys.intern, map(str.__str__, raw)))
 
 
 _REQUIRED_KEYS = (
@@ -302,10 +374,15 @@ _REQUIRED_KEYS = (
 
 
 def parse_record(obj: dict, line_no: int = 0) -> Publication:
-    """Validate one decoded JSON object and build a :class:`Publication`.
+    """Check one decoded JSON object's shapes and build its :class:`Publication`.
 
-    Unknown keys are ignored.  Violations raise :class:`SchemaError`
-    carrying ``line_no``.
+    This checks the JSON shapes: the keys, the value types, lone
+    surrogates and empty references; the :class:`Publication`
+    constructor checks the record's invariants.  The year and category
+    rules are also called here, at their place in field order, so that a
+    line with several faults reports the first of them.  Unknown keys are
+    ignored.  Every violation raises :class:`SchemaError` carrying
+    ``line_no``.
     """
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "record is not a JSON object")
@@ -316,9 +393,7 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     pub_id = obj["id"]
     if not isinstance(pub_id, str) or not pub_id:
         raise SchemaError(line_no, "'id' must be a non-empty string")
-    year = obj["year"]
-    if not isinstance(year, int) or isinstance(year, bool):
-        raise SchemaError(line_no, "'year' must be an integer")
+    _apply(_check_year, obj["year"], line_no)
     for key in ("id", "doc_type", "source_id", "title"):
         text = obj[key]
         if not isinstance(text, str):
@@ -326,12 +401,9 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
         if not text.isascii() and _SURROGATE.search(text):
             raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
 
-    categories = _parse_str_list(obj["subject_categories"], line_no,
-                                 "subject_categories")
-    if not categories or any(not c for c in categories):
-        raise SchemaError(line_no, "'subject_categories' must be non-empty strings")
-    if any("|" in c for c in categories):
-        raise SchemaError(line_no, "subject category contains '|'")
+    categories = tuple(_parse_str_list(obj["subject_categories"], line_no,
+                                       "subject_categories"))
+    _apply(_check_categories, categories, line_no)
 
     authors = _parse_authors(obj["authors"], line_no)
 
@@ -341,35 +413,36 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
         raise SchemaError(line_no, "'reprint_author' must be an integer or null")
 
     references = _parse_str_list(obj["references"], line_no, "references")
-    if any(not r for r in references):
+    if "" in references:
         raise SchemaError(line_no, "'references' contains an empty string")
 
     try:
         return Publication(
             pub_id=pub_id,
-            year=year,
+            year=obj["year"],
             doc_type=DocType.from_label(obj["doc_type"]),
-            source_id=obj["source_id"],
-            subject_categories=tuple(categories),
+            source_id=sys.intern(str.__str__(obj["source_id"])),
+            subject_categories=categories,
             title=obj["title"],
             authors=authors,
             reprint_author=reprint,
-            references=frozenset(references),
+            references=references,
         )
     except ValueError as exc:
         raise SchemaError(line_no, str(exc)) from exc
 
 
-# Each inverted index of a Corpus: its attribute, a publication's values
-_INDEXED_VALUES = {
-    "by_cell": lambda pub: (pub.cell.key,),
-    "by_title_word": lambda pub: pub.title_tokens,
-    "by_author_key": lambda pub: pub.author_keys,
-    "by_reprint_author_key": lambda pub: (
-        () if pub.reprint_author is None else (pub.reprint_author_key,)),
-    "by_reference": lambda pub: pub.references,
-    "by_year": lambda pub: (pub.year,),
-}
+def _apply(rule, value, line_no: int) -> None:
+    """Run one of the constructor's rules on a raw value, as a SchemaError."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise SchemaError(line_no, str(exc)) from exc
+
+
+# the inverted indexes of a Corpus, in the order from_publications fills them
+_INDEX_NAMES = ("by_cell", "by_title_word", "by_author_key",
+                "by_reprint_author_key", "by_reference", "by_year")
 
 
 @dataclass(frozen=True)
@@ -414,22 +487,34 @@ class Corpus:
     ) -> "Corpus":
         """Index a publication stream.  Raises :class:`DuplicatePubId`.
 
-        Postings are gathered in lists (each field value of a publication
-        is distinct, so no list repeats an id), one index at a time, and
-        each becomes a frozenset once, its list freed as it goes.
+        One pass over the publications fills all six indexes.  Postings
+        are gathered in lists (each field value of a publication is
+        distinct, so no list repeats an id), and each list becomes a
+        frozenset once, freed as it goes.
         """
         pubs: dict[str, Publication] = {}
+        lists = {name: defaultdict(list) for name in _INDEX_NAMES}
+        by_cell, by_word, by_author, by_reprint, by_reference, by_year = (
+            lists.values())
         for pub in publications:
-            if pub.pub_id in pubs:
-                raise DuplicatePubId(pub.pub_id)
-            pubs[pub.pub_id] = pub
-        indexes = {}
-        for name, values in _INDEXED_VALUES.items():
-            lists = defaultdict(list)
-            for pid, pub in pubs.items():
-                for value in values(pub):
-                    lists[value].append(pid)
-            indexes[name] = {k: frozenset(lists.pop(k)) for k in list(lists)}
+            pid = pub.pub_id
+            if pid in pubs:
+                raise DuplicatePubId(pid)
+            pubs[pid] = pub
+            by_cell[pub.cell.key].append(pid)
+            for word in pub.title_tokens:
+                by_word[word].append(pid)
+            for key in pub.author_keys:
+                by_author[key].append(pid)
+            if pub.reprint_author is not None:
+                by_reprint[pub.reprint_author_key].append(pid)
+            for ref in pub._references:
+                by_reference[ref].append(pid)
+            by_year[pub.year].append(pid)
+        indexes = {
+            name: {k: frozenset(postings.pop(k)) for k in list(postings)}
+            for name, postings in lists.items()
+        }
         return cls(publications=pubs, ingest_report=ingest_report, **indexes)
 
 
@@ -475,18 +560,26 @@ def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
     :class:`DuplicatePubId`, strict or not: a silently dropped duplicate
     could change every downstream count.
 
+    Each line is decoded, then :func:`parse_record` checks its shapes and
+    the :class:`Publication` constructor its invariants;
+    :meth:`Corpus.from_publications` then indexes the accepted records
+    in one pass.  The records are compact and share what they can: one
+    cell per category set, one author name per raw name, and interned
+    title words, author surnames and keys, source ids, subject categories
+    and references, so equal values are one object across publications
+    and index keys.  The name and cell caches that do the sharing are
+    emptied when ingest returns or raises, so they keep nothing alive
+    once the corpus is freed.
+
     The cyclic garbage collector is paused while ingest runs and restored
     to its state on entry, also when ingest raises: ingest builds only
     acyclic, immutable objects, which the collector would otherwise walk
-    again and again.  Title words, author surnames and keys, subject
-    categories and references are interned, so equal values share one
-    string object across publications and index keys.
+    again and again.
     """
     options = options or IngestOptions()
-    pubs: list[Publication] = []
+    pubs: dict[str, Publication] = {}
     rejected: list[RejectedLine] = []
     total = 0
-    seen: set[str] = set()
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -501,14 +594,15 @@ def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
                     raise
                 rejected.append(RejectedLine(exc.line_no, exc.reason))
                 continue
-            if pub.pub_id in seen:
+            if pub.pub_id in pubs:
                 raise DuplicatePubId(pub.pub_id)
-            seen.add(pub.pub_id)
-            pubs.append(pub)
+            pubs[pub.pub_id] = pub
         report = IngestReport(
             total_lines=total, accepted=len(pubs), rejected=tuple(rejected)
         )
-        return Corpus.from_publications(pubs, ingest_report=report)
+        return Corpus.from_publications(pubs.values(), ingest_report=report)
     finally:
+        AuthorName.from_raw.cache_clear()
+        _cell.cache_clear()
         if collecting:
             gc.enable()

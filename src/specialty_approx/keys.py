@@ -194,14 +194,14 @@ def homonym_surnames(
     key happens to share the string, which cannot occur since homonym
     keys are never selected).
     """
-    initials_by_surname: dict[str, set[str]] = defaultdict(set)
-    for pub in pubs:
-        for key in in_scope_author_keys(pub, scope):
-            surname, _, initial = key.rpartition(" ")
-            initials_by_surname[surname].add(initial)
-    return frozenset(
-        s for s, initials in initials_by_surname.items() if len(initials) > 1
-    )
+    return homonyms_among(
+        {key for pub in pubs for key in in_scope_author_keys(pub, scope)})
+
+
+def homonyms_among(author_keys: Iterable[str]) -> frozenset[str]:
+    """The surnames that two or more of the distinct ``author_keys`` carry."""
+    per_surname = Counter(key.rpartition(" ")[0] for key in author_keys)
+    return frozenset(s for s, n in per_surname.items() if n > 1)
 
 
 def _resolve_seed(

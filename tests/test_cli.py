@@ -391,6 +391,75 @@ def test_unwritable_output_file_exits_2(workspace, tmp_path):
     assert not (out / "seed.csv.tmp").exists()
 
 
+def test_failed_last_write_leaves_nothing_new_in_out(workspace, tmp_path):
+    # keys writes seed.csv and keys.csv before summary.json; a summary.json
+    # that cannot be written must not strand the two CSVs
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    result = run_cli("keys", str(workspace["corpus"]),
+                     "--ids", str(workspace["ids"]), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(
+        f"error: cannot write {out / 'summary.json'}")
+    assert "Traceback" not in result.stderr
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert not any((out / "summary.json").iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_outputs_are_staged_inside_out(workspace, tmp_path, monkeypatch):
+    # staging inside --out needs only --out to be writable and keeps every
+    # move on its filesystem (the parent's mode binds only non-root users)
+    out = tmp_path / "parent" / "out"
+    out.mkdir(parents=True)
+    out.parent.chmod(0o555)
+    moves = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        moves.append((Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    try:
+        code = cli.main(["keys", str(workspace["corpus"]),
+                         "--ids", str(workspace["ids"]), "--out", str(out)])
+    finally:
+        out.parent.chmod(0o755)
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "keys.csv", "manifest.json", "seed.csv", "summary.json"]
+    assert [dst.name for _, dst in moves] == [
+        "seed.csv", "keys.csv", "summary.json", "manifest.json"]
+    assert all(src.parent.parent == out and dst.parent == out
+               for src, dst in moves)
+
+
+def test_failed_move_puts_back_the_files_it_replaced(workspace, tmp_path,
+                                                     monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {"seed.csv": "old seed\n", "keys.csv": "old keys\n",
+           "manifest.json": "{}\n"}
+    for name, text in old.items():
+        (out / name).write_text(text, encoding="utf-8")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == out / "summary.json":
+            raise OSError(18, "Invalid cross-device link")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
+    code = cli.main(["keys", str(workspace["corpus"]),
+                     "--ids", str(workspace["ids"]), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out / 'summary.json'}")
+    assert {p.name: p.read_text(encoding="utf-8")
+            for p in out.iterdir()} == old
+
+
 def test_generate_checks_out_before_generating(workspace, tmp_path,
                                                monkeypatch, capsys):
     (tmp_path / "out").write_text("", encoding="utf-8")

@@ -1,7 +1,9 @@
 """Data model, parsing, and index tests for the corpus layer."""
 
 import gc
+import itertools
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -11,12 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_records, records_to_corpus
-from oracles import oracle_author_key, oracle_is_doi, oracle_tokens
+from oracles import (oracle_author_key, oracle_is_doi, oracle_tokens,
+                     record_field_values)
 from specialty_approx import (
-    AuthorName, CellId, Corpus, DocType, IngestOptions, Publication,
-    derive_cell, ingest, is_doi_like, normalize_author_key, parse_record,
-    tokenize_title,
+    AuthorName, AuthorScope, CellId, Corpus, DocType, GeneratorConfig,
+    IngestOptions, KeysConfig, Publication, SpecialtyParams, derive_cell,
+    ingest, is_doi_like, normalize_author_key, parse_record, tokenize_title,
 )
+from specialty_approx.keys import FIELD_SPECS
+from specialty_approx.syngen import build_records
 from specialty_approx.errors import (
     DuplicatePubId, EmptyCategorySet, FileUnreadable, SchemaError,
 )
@@ -247,6 +252,27 @@ def test_parse_record_schema_violations(mutation, fragment):
     assert fragment in str(exc_info.value)
 
 
+@pytest.mark.parametrize("mutation,reason", [
+    (dict(subject_categories=["", "a|b"]),
+     "'subject_categories' must be non-empty strings"),
+    (dict(year="2010", title=None), "'year' must be an integer"),
+    (dict(year=True, subject_categories=["a|b"]), "'year' must be an integer"),
+    (dict(subject_categories=[], authors="Weiss"),
+     "'subject_categories' must be non-empty strings"),
+    (dict(subject_categories=["a|b"], references=["p1"]),
+     "subject category contains '|'"),
+    (dict(reprint_author=5, references=[""]),
+     "'references' contains an empty string"),
+    (dict(reprint_author=5, references=["p1"]),
+     "publication references itself"),
+])
+def test_parse_record_reports_the_first_fault_in_field_order(mutation,
+                                                             reason):
+    with pytest.raises(SchemaError) as exc_info:
+        parse_record(minimal_record(**mutation), line_no=4)
+    assert (exc_info.value.line_no, exc_info.value.reason) == (4, reason)
+
+
 def test_parse_record_missing_keys_are_listed():
     record = minimal_record()
     del record["year"], record["title"]
@@ -257,6 +283,95 @@ def test_parse_record_missing_keys_are_listed():
 
 def test_parse_record_ignores_unknown_keys():
     assert parse_record(minimal_record(extra="ignored")).pub_id == "p1"
+
+
+def test_publication_stores_shared_compact_fields():
+    first = parse_record(minimal_record(
+        subject_categories=["Phys", "Bio"],
+        authors=[{"surname": "Weiss", "initials": "A"}] * 2,
+        references=["r1", "r2", "r1"]))
+    second = parse_record(minimal_record(
+        id="p2", subject_categories=["Bio", "Phys", "Bio"],
+        authors=[{"surname": "Weiss", "initials": "A"}], references=["r2"]))
+    assert not hasattr(first, "__dict__")
+    assert first.cell is second.cell
+    assert first.authors[0] is first.authors[1] is second.authors[0]
+    assert sorted(first.references) == ["r1", "r2"]
+    with pytest.raises(AttributeError):
+        first.year = 2011
+
+
+def test_publication_equality_repr_and_pickling_follow_its_fields():
+    pub = parse_record(minimal_record(references=["r2", "r1", "r2"]))
+    same = Publication(
+        pub_id="p1", year=2010, doc_type=DocType.ARTICLE, source_id="s1",
+        subject_categories=["Phys"],
+        title="Greedy coverage of citation networks",
+        authors=[AuthorName("WEISS", "A")], reprint_author=0,
+        references=["r1", "r2"])
+    assert pub == same and hash(pub) == hash(same)
+    assert pub != parse_record(minimal_record(year=2011))
+    assert repr(pub) == (
+        "Publication(pub_id='p1', year=2010, doc_type=<DocType.ARTICLE: "
+        "'Article'>, source_id='s1', subject_categories=('Phys',), "
+        "title='Greedy coverage of citation networks', "
+        "authors=(AuthorName(surname='WEISS', first_initial='A'),), "
+        f"reprint_author=0, references={pub.references!r})")
+    assert pickle.loads(pickle.dumps(pub)) == pub
+
+
+# records whose raw values exercise every derivation a field makes
+_EDGE_RECORDS = [
+    minimal_record(id="e-dup-refs",
+                   references=["10.1000/a", "plain1", "10.1000/a", "plain1"]),
+    minimal_record(id="e-repeated-authors",
+                   authors=[{"surname": "Weiss", "initials": "A"},
+                            {"surname": "Weiss", "initials": "A.B."},
+                            {"surname": "Wei\u00df", "initials": "a"}],
+                   reprint_author=2),
+    minimal_record(id="e-diacritics",
+                   title="Na\u00efve caf\u00e9: semi-conductors in 2D!",
+                   authors=[{"surname": "M\u00fcller", "initials": "j"},
+                            {"surname": "Garc\u00eda", "initials": "M.R."},
+                            {"surname": "Kov\u00e1cs", "initials": " Z "}],
+                   reprint_author=1),
+    minimal_record(id="e-doi-prefixes",
+                   references=["doi:10.1234/xyz", "DOI:10.55555/abc",
+                               " 10.1000/padded ", "10.12/short", "plain2"]),
+    minimal_record(id="e-no-authors", authors=[], reprint_author=None,
+                   subject_categories=["Phys", "Bio", "Phys"], references=[]),
+]
+
+
+def test_every_record_field_values_match_the_oracle(tmp_path):
+    config = GeneratorConfig(
+        rng_seed=12,
+        specialties=(SpecialtyParams(label="alpha", n_publications=150),
+                     SpecialtyParams(label="beta", n_publications=150)),
+        cross_contamination=0.1,
+    )
+    records = [*build_records(config)[0],
+               *make_random_records(np.random.default_rng(13), 60),
+               *_EDGE_RECORDS]
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, records)
+    corpus = ingest(path)
+    assert corpus.ingest_report.ok and len(corpus) == len(records)
+
+    for scope, min_word_len, doi_only in itertools.product(
+            (AuthorScope.ALL_AUTHORS, AuthorScope.REPRINT_ONLY), (1, 3, 5),
+            (False, True)):
+        keys_config = KeysConfig(min_word_len=min_word_len,
+                                 author_scope=scope,
+                                 doi_only_references=doi_only)
+        for record in records:
+            pub = corpus.publications[record["id"]]
+            for field, spec in FIELD_SPECS.items():
+                expected = record_field_values(
+                    record, field.value, min_word_len=min_word_len,
+                    scope=scope.value, doi_only=doi_only)
+                assert spec.values(pub, keys_config) == expected, \
+                    (record["id"], field, scope, min_word_len, doi_only)
 
 
 # -------------------------------------------------------------------- corpus
