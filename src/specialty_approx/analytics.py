@@ -6,10 +6,11 @@ excluding the focal author, ambiguous homonym identities, and anyone who
 co-published with the focal author inside a conflict window.  Peer
 comparison measures how much of a second record falls inside the
 approximation and how much of the approximation the second record's own
-key values cover; both coverage questions go to
-:func:`~specialty_approx.approx.covered_ids` as one batch, and the share
-covered in enough fields is read off
-:func:`~specialty_approx.approx.coverage_regions`.
+key values cover.  Both coverage questions go to the approximation's row
+bitset engine: the members' share per field is a bit count of
+:func:`~specialty_approx.approx.covered_rows` over the member rows, and
+the share covered in enough fields is read off
+:func:`~specialty_approx.approx.region_rows`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .approx import (SpecialtyApproximation, YearWindow, coverage_regions,
-                     covered_ids)
+from .approx import (SpecialtyApproximation, YearWindow, covered_rows,
+                     region_rows, row_bits)
 from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
                      OutOfRange)
@@ -229,13 +230,13 @@ def mutual_coverage(
 
     share = len(ids & approximation.member_set) / len(ids)
 
-    covered = covered_ids(corpus, subject_keys, approximation.member_set)
+    members = row_bits(corpus, approximation.member_ids)
     return MutualCoverage(
         subject_id=subject_id,
         share_in_approximation=share,
         key_coverage_of_approximation={
-            field: len(covered[field]) / len(approximation.member_ids)
-            for field in FieldKind
+            field: (members & bits).bit_count() / len(approximation.member_ids)
+            for field, bits in covered_rows(corpus, subject_keys).items()
         },
     )
 
@@ -257,8 +258,8 @@ def coverage_of_record_by_keys(
     ids = _record_ids(record)
     if not ids:
         raise EmptyRecord("record is empty")
-    hit = sum(len(region)
-              for flags, region in coverage_regions(corpus, keys, ids).items()
+    regions = region_rows(corpus, keys, row_bits(corpus, ids))
+    hit = sum(bits.bit_count() for flags, bits in regions.items()
               if sum(flags) >= min_fields)
     return hit / len(ids)
 

@@ -5,13 +5,18 @@ window has a four-flag coverage profile (one flag per field, true when
 the field's key values cover the publication); those covered in at least
 ``min_fields`` fields form the specialty approximation.
 
-:func:`covered_ids` answers by index intersection which of a batch of
-candidates each field covers.  :func:`coverage_regions` splits the batch
-by set algebra into its 16 flag regions, so the histogram, the subset
-sizes and the members are read off whole regions and no publication is
-profiled one by one; the approximation, the seed histogram and the
-analytics all ask it.  :func:`coverage_profile` evaluates the same rules
-on one publication and is the reference the engine must match.
+One engine answers every coverage question in row bitsets (see
+:mod:`specialty_approx.corpus`).  :func:`covered_rows` gives the rows
+each field's key values cover: the bitsets of dense postings fold into
+hit levels with ``&`` and ``|``, and sparse postings are counted in one
+byte per row.  :func:`region_rows` splits a batch of candidate rows into
+its 16 flag regions with ``&``, so the histogram and the subset sizes
+are bit counts and the members are the set rows of whole regions, read
+in row order and so already sorted; the approximation, the seed
+histogram and the analytics all ask it.  :func:`covered_ids` and
+:func:`coverage_regions` give the same answers as ids.
+:func:`coverage_profile` evaluates the same rules on one publication and
+is the reference the engine must match.
 
 Under per-field coverage ``t`` and independence, the chance a seed-like
 publication lands in a >=3-of-4 approximation is
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from typing import Iterable, Mapping
+from operator import and_
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, bitset_from_digits
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange, UnknownPubId)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
@@ -192,6 +198,118 @@ class SpecialtyApproximation:
         return pub_id in self.member_set
 
 
+def row_bits(corpus: Corpus, ids: Iterable[str]) -> int:
+    """The row bitset of ``ids``; an id absent from the corpus raises
+    :class:`UnknownPubId`."""
+    ids = frozenset(ids)
+    unknown = ids.difference(corpus.rows)
+    if unknown:
+        raise UnknownPubId(min(unknown))
+    return corpus.bitset(ids)
+
+
+def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
+    """Per field in canonical order, the row bitset the key values cover.
+
+    A field covers a row when at least its required number of selected
+    values carry the publication.  For key values selected under
+    ``keys.config`` this equals :func:`coverage_profile` on every
+    publication.
+    """
+    config = keys.config
+    if config.author_scope is AuthorScope.AUTO:
+        raise InvalidConfig("coverage needs a resolved author scope")
+    covered = {}
+    for field, spec in FIELD_SPECS.items():
+        index = spec.index(corpus, config.author_scope)
+        postings = [index.get(value, frozenset())
+                    for value in keys.per_field(field).values]
+        covered[field] = _held_by_at_least(corpus, postings,
+                                           spec.required(config))
+    return covered
+
+
+def _held_by_at_least(corpus: Corpus, postings: list[frozenset[str]],
+                      required: int) -> int:
+    """The rows that at least ``required`` of ``postings`` hold.
+
+    ``levels[j]`` holds the rows hit by at least ``j`` postings so far
+    (``levels[0]`` every row), up to ``required``.  A dense posting
+    folds in with ``&`` and ``|`` on its bitset; the sparse ones are
+    counted per row through the row map, in one byte per row.
+    """
+    n = len(corpus.row_ids)
+    if not n or required > len(postings):   # no row is hit that often
+        return 0
+    levels = [(1 << n) - 1]
+    sparse = []
+    for posting in postings:
+        bits = corpus.bitsets.get(posting)
+        if bits is None:
+            sparse.append(posting)
+        else:
+            levels = _fold(levels, (bits,), required)
+    # a byte counts at most 255 hits: beyond that, count in batches
+    batch = 255 if required > 255 else max(1, len(sparse))
+    for start in range(0, len(sparse), batch):
+        levels = _fold(levels, _count_levels(
+            corpus, sparse[start:start + batch], required), required)
+    return levels[required] if required < len(levels) else 0
+
+
+def _count_levels(corpus: Corpus, postings: list[frozenset[str]],
+                  required: int) -> list[int]:
+    """Hit levels 1..min(required, len(postings)) of the postings.
+
+    Each row's hit count is one byte that stops at the top level, so it
+    cannot wrap however many postings hold the row.
+    """
+    top = min(required, len(postings))
+    counts = bytearray(len(corpus.row_ids))
+    step = bytes(min(v + 1, top) for v in range(256))
+    for posting in postings:
+        for row in corpus.rows_of(posting):
+            counts[row] = step[counts[row]]
+    # b"1" where a count reaches k: the level's binary digits
+    return [bitset_from_digits(counts.translate(b"0" * k + b"1" * (256 - k)))
+            for k in range(1, top + 1)]
+
+
+def _fold(levels: list[int], other: Sequence[int], top: int) -> list[int]:
+    """The hit levels, up to ``top``, of two disjoint groups of postings.
+
+    ``other[i - 1]`` holds the rows the second group hits at least ``i``
+    times.  A row is hit ``j`` times by both groups when the first hits
+    it ``j - i`` times and the second ``i`` times.
+    """
+    out = [levels[0]]
+    for j in range(1, min(top, len(levels) - 1 + len(other)) + 1):
+        bits = levels[j] if j < len(levels) else 0
+        for i in range(max(1, j - len(levels) + 1), min(j, len(other)) + 1):
+            bits |= levels[j - i] & other[i - 1]
+        out.append(bits)
+    return out
+
+
+def region_rows(
+    corpus: Corpus,
+    keys: KeyValueSets,
+    candidates: int,
+) -> dict[tuple[bool, ...], int]:
+    """The candidate rows split by flag tuple into their 16 coverage regions.
+
+    Region ``flags`` holds the candidates whose coverage profile has
+    exactly those flags.  Every tuple is a key (empty regions included),
+    in :func:`all_masks` order, and the regions partition the
+    candidates.
+    """
+    covered = covered_rows(corpus, keys).values()
+    return {flags: reduce(and_, (bits if hit else ~bits
+                                 for hit, bits in zip(flags, covered)),
+                          candidates)
+            for flags in _FLAG_TUPLES}
+
+
 def covered_ids(
     corpus: Corpus,
     keys: KeyValueSets,
@@ -199,37 +317,12 @@ def covered_ids(
 ) -> dict[FieldKind, frozenset[str]]:
     """Per field in canonical order, the candidates the key values cover.
 
-    Intersects each selected value's postings with the candidates, so
-    publications the key values never reach are never touched.  Where a
-    field needs several hits, level sets hold the candidates hit at
-    least once, twice, ... so far, in place of a count per candidate.
-    For key values selected under ``keys.config`` this equals
-    :func:`coverage_profile` on every candidate.  A candidate absent
-    from the corpus raises :class:`UnknownPubId`.
+    :func:`covered_rows` restricted to the candidates, as ids.  A
+    candidate absent from the corpus raises :class:`UnknownPubId`.
     """
-    candidates = frozenset(candidate_ids)
-    unknown = candidates.difference(corpus.publications)
-    if unknown:
-        raise UnknownPubId(min(unknown))
-    config = keys.config
-    if config.author_scope is AuthorScope.AUTO:
-        raise InvalidConfig("coverage needs a resolved author scope")
-    covered: dict[FieldKind, frozenset[str]] = {}
-    for field, spec in FIELD_SPECS.items():
-        index = spec.index(corpus, config.author_scope)
-        hits = [index.get(value, frozenset()) & candidates
-                for value in keys.per_field(field).values]
-        required = spec.required(config)
-        if required == 1:   # one hit suffices: a union, no counting
-            covered[field] = frozenset().union(*hits)
-        else:
-            reached: list[set[str]] = [set() for _ in range(required)]
-            for hit in hits:
-                for j in range(required - 1, 0, -1):
-                    reached[j].update(reached[j - 1].intersection(hit))
-                reached[0].update(hit)
-            covered[field] = frozenset(reached[-1])
-    return covered
+    candidates = row_bits(corpus, candidate_ids)
+    return {field: frozenset(corpus.ids_of(candidates & bits))
+            for field, bits in covered_rows(corpus, keys).items()}
 
 
 def coverage_regions(
@@ -239,28 +332,20 @@ def coverage_regions(
 ) -> dict[tuple[bool, ...], frozenset[str]]:
     """The candidates split by flag tuple into their 16 coverage regions.
 
-    Region ``flags`` holds the candidates whose coverage profile has
-    exactly those flags.  Every tuple is a key (empty regions included),
-    in :func:`all_masks` order, and the regions partition the
-    candidates.  Built by set algebra on :func:`covered_ids`, one field
-    at a time, with no Python work per candidate.
+    :func:`region_rows` as ids: every tuple is a key (empty regions
+    included), in :func:`all_masks` order, and the regions partition the
+    candidates.
     """
-    regions = {(): frozenset(candidate_ids)}
-    for ids in covered_ids(corpus, keys, regions[()]).values():
-        regions = {
-            flags + (hit,): part
-            for flags, region in regions.items()
-            for hit, part in ((False, region - ids), (True, region & ids))
-        }
-    return regions
+    regions = region_rows(corpus, keys, row_bits(corpus, candidate_ids))
+    return {flags: frozenset(corpus.ids_of(bits))
+            for flags, bits in regions.items()}
 
 
-def _histogram(regions: Mapping[tuple[bool, ...], frozenset[str]]
-               ) -> dict[int, int]:
-    """Candidates per covered-field count (bins 0..4)."""
+def _histogram(regions: Mapping[tuple[bool, ...], int]) -> dict[int, int]:
+    """Rows per covered-field count (bins 0..4)."""
     histogram = dict.fromkeys(range(len(FIELD_ORDER) + 1), 0)
-    for flags, region in regions.items():
-        histogram[sum(flags)] += len(region)
+    for flags, bits in regions.items():
+        histogram[sum(flags)] += bits.bit_count()
     return histogram
 
 
@@ -272,30 +357,34 @@ def build_approximation(
 ) -> SpecialtyApproximation:
     """Assemble the approximation from key values over a year window.
 
-    The year window is split into its 16 :func:`coverage_regions`; the
-    histogram and subset sizes are the regions' sizes, and the members
-    are the regions with at least ``min_fields`` flags.  Coverage
-    profiles are built only when :attr:`SpecialtyApproximation.profiles`
-    is first read.
+    The window's rows (those any of its years' postings holds) are split
+    into their 16 :func:`region_rows`; the histogram and subset sizes are
+    the regions' bit counts, and the members are the rows of the regions
+    with at least ``min_fields`` flags, read in row order, so sorted.
+    Coverage profiles are built only when
+    :attr:`SpecialtyApproximation.profiles` is first read.
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    window_ids = _window_ids(corpus, window)
-    regions = coverage_regions(corpus, keys, window_ids)
+    in_window = _held_by_at_least(
+        corpus, [ids for year, ids in corpus.by_year.items() if year in window],
+        1)
+    regions = region_rows(corpus, keys, in_window)
 
-    subset_sizes = {_mask(flags): len(region)
-                    for flags, region in regions.items()}
+    members = 0
     member_flags: dict[str, tuple[bool, ...]] = {}
-    for flags, region in regions.items():
+    for flags, bits in regions.items():
         if sum(flags) >= min_fields:
-            member_flags.update(dict.fromkeys(region, flags))
+            members |= bits
+            member_flags.update(dict.fromkeys(corpus.ids_of(bits), flags))
     return SpecialtyApproximation(
-        member_ids=tuple(sorted(member_flags)),
+        member_ids=tuple(corpus.ids_of(members)),
         window=window,
         min_fields=min_fields,
-        n_in_window=len(window_ids),
+        n_in_window=in_window.bit_count(),
         histogram=_histogram(regions),
-        subset_sizes=subset_sizes,
+        subset_sizes={_mask(flags): bits.bit_count()
+                      for flags, bits in regions.items()},
         member_flags=member_flags,
     )
 
@@ -312,14 +401,9 @@ def key_author_match_counts(
     """
     author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
         corpus, keys.config.author_scope)
-    window_ids = _window_ids(corpus, window)
+    window_ids = corpus.ids_in_years(y for y in corpus.by_year if y in window)
     return {key: len(author_index.get(key, frozenset()) & window_ids)
             for key in keys.authors.values}
-
-
-def _window_ids(corpus: Corpus, window: YearWindow) -> frozenset[str]:
-    """The corpus's publications inside ``window``, read off its own years."""
-    return corpus.ids_in_years(y for y in corpus.by_year if y in window)
 
 
 def seed_coverage_histogram(
@@ -335,7 +419,8 @@ def seed_coverage_histogram(
     """
     if not seed.all_ids:
         raise EmptyApproximation("seed record is empty")
-    counts = _histogram(coverage_regions(corpus, keys, seed.all_ids))
+    counts = _histogram(region_rows(corpus, keys,
+                                    row_bits(corpus, seed.all_ids)))
     return {k: n / len(seed.all_ids) for k, n in counts.items()}
 
 

@@ -9,6 +9,16 @@ whose constructor checks the record's invariants, so every schema rule is
 written once.  :meth:`Corpus.from_publications` then fills the
 six per-field inverted indexes in one pass over the publications.
 
+Every publication also gets a row: its place in sorted-id order.  A set
+of publications can then be held as a row bitset, a Python int whose
+binary numeral, ``len(corpus)`` digits wide, has a ``1`` for each member
+row in row order (:func:`bitset_from_digits` and :meth:`Corpus.bitset`
+build one, :meth:`Corpus.ids_of` reads one back, in id order).  Every
+posting that holds at least a 64th of the corpus is dense and also gets
+its bitset, at most about a seventh of the size of the frozenset it
+shadows; set algebra over dense postings is ``&``, ``|`` and
+:meth:`int.bit_count`.
+
 A :class:`Publication` stores each field once, in its smallest shared
 form: one :class:`CellId` per distinct category set, one
 :class:`AuthorName` per raw ``(surname, initials)`` pair, one
@@ -27,10 +37,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
-from itertools import repeat
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DuplicatePubId, EmptyCategorySet, FileUnreadable, SchemaError
 
@@ -443,6 +453,34 @@ def _apply(rule, value, line_no: int) -> None:
 # the inverted indexes of a Corpus, in the order from_publications fills them
 _INDEX_NAMES = ("by_cell", "by_title_word", "by_author_key",
                 "by_reprint_author_key", "by_reference", "by_year")
+# a posting is dense, and gets a row bitset, from 1/_DENSE_SHARE of the corpus
+_DENSE_SHARE = 64
+# the binary digits of a row bitset as compress selectors: 0 or 1 per row
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bitset_from_digits(digits: bytes | bytearray) -> int:
+    """The row bitset whose binary digits, in row order, are ``digits``.
+
+    ``digits`` holds ``b"1"`` for each member row and ``b"0"`` for every
+    other; an empty corpus has no digits and the empty bitset 0.
+    """
+    return int(digits, 2) if digits else 0
+
+
+def _bitset_of(ids: Collection[str], rows: Mapping[str, int]) -> int:
+    """The row bitset of ``ids`` under the id -> row map ``rows``."""
+    digits = bytearray(b"0") * len(rows)
+    for row in _rows_of(ids, rows):
+        digits[row] = 49   # ord("1")
+    return bitset_from_digits(digits)
+
+
+def _rows_of(ids: Collection[str], rows: Mapping[str, int]) -> Sequence[int]:
+    """The rows of ``ids``, in their order; itemgetter looks them up in C."""
+    if len(ids) < 2:   # itemgetter needs an id, and returns one row bare
+        return [rows[pid] for pid in ids]
+    return itemgetter(*ids)(rows)
 
 
 @dataclass(frozen=True)
@@ -451,7 +489,9 @@ class Corpus:
 
     Every index maps a field value to the frozenset of publication ids
     carrying it; ids round-trip, i.e. ``pid in by_cell[corpus.publications
-    [pid].cell.key]`` for every publication.
+    [pid].cell.key]`` for every publication.  ``row_ids`` lists the ids
+    in sorted order and ``rows`` maps each id to its place there;
+    ``bitsets`` maps every dense index posting to its row bitset.
     """
 
     publications: Mapping[str, Publication]
@@ -461,6 +501,9 @@ class Corpus:
     by_reprint_author_key: Mapping[str, frozenset[str]]
     by_reference: Mapping[str, frozenset[str]]
     by_year: Mapping[int, frozenset[str]]
+    row_ids: tuple[str, ...]
+    rows: Mapping[str, int]
+    bitsets: Mapping[frozenset[str], int]
     ingest_report: IngestReport | None = None
 
     def __len__(self) -> int:
@@ -479,6 +522,20 @@ class Corpus:
             out.update(self.by_year.get(y, ()))
         return frozenset(out)
 
+    def rows_of(self, ids: Collection[str]) -> Sequence[int]:
+        """The rows of ``ids``, which must all be corpus ids, in their order."""
+        return _rows_of(ids, self.rows)
+
+    def bitset(self, ids: Collection[str]) -> int:
+        """The row bitset of ``ids``, which must all be corpus ids."""
+        return _bitset_of(ids, self.rows)
+
+    def ids_of(self, bits: int) -> list[str]:
+        """The ids of the rows set in ``bits``, in row order, so sorted."""
+        digits = format(bits, f"0{len(self.row_ids)}b").encode("ascii")
+        return list(compress(self.row_ids,
+                             digits.translate(_DIGIT_SELECTORS)))
+
     @classmethod
     def from_publications(
         cls,
@@ -490,7 +547,8 @@ class Corpus:
         One pass over the publications fills all six indexes.  Postings
         are gathered in lists (each field value of a publication is
         distinct, so no list repeats an id), and each list becomes a
-        frozenset once, freed as it goes.
+        frozenset once, freed as it goes; a dense one also gets its row
+        bitset.
         """
         pubs: dict[str, Publication] = {}
         lists = {name: defaultdict(list) for name in _INDEX_NAMES}
@@ -511,11 +569,19 @@ class Corpus:
             for ref in pub._references:
                 by_reference[ref].append(pid)
             by_year[pub.year].append(pid)
-        indexes = {
-            name: {k: frozenset(postings.pop(k)) for k in list(postings)}
-            for name, postings in lists.items()
-        }
-        return cls(publications=pubs, ingest_report=ingest_report, **indexes)
+        row_ids = tuple(sorted(pubs))
+        rows = dict(zip(row_ids, range(len(row_ids))))
+        bitsets: dict[frozenset[str], int] = {}
+        indexes = {}
+        for name, postings in lists.items():
+            index = indexes[name] = {}
+            for value in list(postings):
+                ids = postings.pop(value)
+                posting = index[value] = frozenset(ids)
+                if _DENSE_SHARE * len(ids) >= len(row_ids):
+                    bitsets[posting] = _bitset_of(ids, rows)
+        return cls(publications=pubs, row_ids=row_ids, rows=rows,
+                   bitsets=bitsets, ingest_report=ingest_report, **indexes)
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

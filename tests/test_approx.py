@@ -1,5 +1,7 @@
 """Approximation tests: inclusion math, windows, profiles, assembly."""
 
+import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from specialty_approx import (
     FIELD_ORDER, AuthorScope, FieldKind, KeysConfig, KeyValueSets,
     SeedRecord, YearWindow, build_approximation, build_seed_record,
     compute_all_keys, coverage_of_record_by_keys, coverage_profile,
+    covered_ids, ingest,
     expected_inclusion_probability, expected_inclusion_rate,
     rederive_key_values, seed_coverage_histogram, select_key_values,
     write_approximation_csv,
@@ -355,6 +358,63 @@ def test_region_split_matches_profiles_on_edge_case_keys(required_title_words):
         assert coverage_of_record_by_keys(record, keys, min_fields, corpus) \
             == sum(profile[pid].count >= min_fields
                    for pid in record) / len(record)
+
+
+@pytest.mark.parametrize("required_title_words", [10**6, 10**9])
+def test_coverage_cost_does_not_grow_with_required_title_words(
+        required_title_words):
+    # no publication holds that many selected title words, so the field
+    # covers nothing, and finding that out must not cost more than 1 hit
+    rng = np.random.default_rng(17)
+    records = make_random_records(rng, 60, years=(2005, 2008))
+    corpus = records_to_corpus(records)
+    keys = craft_keys(corpus, [r["id"] for r in records[:20]],
+                      required_title_words=required_title_words)
+    started = time.perf_counter()
+    result = build_approximation(corpus, keys, YearWindow(2005, 2008), 1)
+    covered = covered_ids(corpus, keys, corpus.publications)
+    assert time.perf_counter() - started < 1.0
+    assert not covered[FieldKind.TITLE_WORD]
+    assert not any(flags[1] for flags in result.member_flags.values())
+
+
+def _corpus_lines(*records):
+    return [json.dumps(record) for record in records]
+
+
+@pytest.mark.parametrize("lines,window,in_window", [
+    pytest.param(["not json", json.dumps(minimal_record(year="bad"))],
+                 (2000, 2020), [], id="every-line-rejected"),
+    pytest.param(_corpus_lines(minimal_record(id="a", year=2001),
+                               minimal_record(id="b", year=2002)),
+                 (2010, 2012), [], id="window-without-publications"),
+    pytest.param(_corpus_lines(minimal_record(id="a", year=-10**20),
+                               minimal_record(id="b", year=2011),
+                               minimal_record(id="c", year=10**20)),
+                 (1, 10**20), ["b", "c"], id="years-of-plus-minus-1e20"),
+])
+def test_coverage_on_edge_corpora(tmp_path, lines, window, in_window):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = ingest(path)
+    # every minimal record is covered in all four fields
+    keys = hand_keys(KeysConfig(author_scope=AuthorScope.ALL_AUTHORS),
+                     cell=["Phys"], title_word=["greedy", "coverage"],
+                     author=["WEISS A"], reference=["10.1000/xyz1"])
+    everyone = frozenset(corpus.publications)
+    assert covered_ids(corpus, keys, everyone) == dict.fromkeys(
+        FIELD_ORDER, everyone)
+    regions = coverage_regions(corpus, keys, everyone)
+    assert regions[(True,) * 4] == everyone
+    assert sum(map(len, regions.values())) == len(everyone)
+    for min_fields in (1, 2, 3, 4):
+        result = build_approximation(corpus, keys, YearWindow(*window),
+                                     min_fields)
+        assert result.n_in_window == len(in_window)
+        assert list(result.member_ids) == in_window
+        assert result.histogram == {0: 0, 1: 0, 2: 0, 3: 0,
+                                    4: len(in_window)}
+        assert result.subset_sizes["1111"] == len(in_window)
 
 
 # ------------------------------------------------------------- seed coverage

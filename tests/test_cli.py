@@ -313,6 +313,23 @@ def test_approx_window_span_costs_nothing(workspace, tmp_path):
     assert written[0] == written[1]
 
 
+def test_approx_window_reaches_years_beyond_int64(workspace, tmp_path):
+    far = [minimal_record(id=f"far{sign}", year=sign * 10**20)
+           for sign in (-1, 1)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(workspace["corpus"].read_text(encoding="utf-8")
+                      + "".join(json.dumps(r) + "\n" for r in far),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    result = run_cli("approx", str(corpus), "--ids", str(workspace["ids"]),
+                     "--window", f"1:{10**20}", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    # every generated year is positive: all of them, and far1, but not far-1
+    n_generated = len(workspace["labels"])
+    assert summary["approximation"]["n_in_window"] == n_generated + 1
+
+
 # --------------------------------------------------------------- lifecycle
 
 LIFECYCLE = {
