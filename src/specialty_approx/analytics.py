@@ -230,7 +230,7 @@ def mutual_coverage(
 
     share = len(ids & approximation.member_set) / len(ids)
 
-    members = row_bits(corpus, approximation.member_ids)
+    members = row_bits(corpus, approximation.member_set)
     return MutualCoverage(
         subject_id=subject_id,
         share_in_approximation=share,

@@ -366,9 +366,8 @@ def build_approximation(
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    in_window = _held_by_at_least(
-        corpus, [ids for year, ids in corpus.by_year.items() if year in window],
-        1)
+    years = [ids for year, ids in corpus.by_year.items() if year in window]
+    in_window = _held_by_at_least(corpus, years, 1)
     regions = region_rows(corpus, keys, in_window)
 
     members = 0

@@ -523,7 +523,7 @@ class Corpus:
         return frozenset(out)
 
     def rows_of(self, ids: Collection[str]) -> Sequence[int]:
-        """The rows of ``ids``, which must all be corpus ids, in their order."""
+        """The rows of ``ids``, all corpus ids, in their order."""
         return _rows_of(ids, self.rows)
 
     def bitset(self, ids: Collection[str]) -> int:

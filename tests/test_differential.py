@@ -19,9 +19,10 @@ import pytest
 import oracles
 from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
-    FIELD_ORDER, AuthorScope, FieldKind, GeneratorConfig, SpecialtyParams, YearWindow,
-    build_approximation, build_seed_record, coverage_of_record_by_keys,
-    coverage_profile, covered_ids, mutual_coverage, seed_coverage_histogram,
+    FIELD_ORDER, AuthorScope, FieldKind, GeneratorConfig, SpecialtyParams,
+    YearWindow, build_approximation, build_seed_record,
+    coverage_of_record_by_keys, coverage_profile, covered_ids,
+    mutual_coverage, seed_coverage_histogram,
 )
 from specialty_approx.approx import coverage_regions
 from specialty_approx.errors import EmptyApproximation

@@ -83,7 +83,7 @@ def test_corpus_line_order_changes_no_artifact(pair_corpus):
 
 
 def approx_artifacts(root, records, name, window=WINDOW):
-    """``approx`` on ``records``: its files by name, ``summary.json`` parsed."""
+    """``approx`` on ``records``: its files by name, the summary parsed."""
     corpus = root / f"{name}.jsonl"
     write_corpus(records, corpus)
     out = root / name
