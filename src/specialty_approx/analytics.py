@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .approx import (SpecialtyApproximation, YearWindow, covered_rows,
-                     region_rows, row_bits)
+                     region_rows)
 from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
                      OutOfRange)
@@ -230,7 +230,7 @@ def mutual_coverage(
 
     share = len(ids & approximation.member_set) / len(ids)
 
-    members = row_bits(corpus, approximation.member_set)
+    members = corpus.bitset(approximation.member_set)
     return MutualCoverage(
         subject_id=subject_id,
         share_in_approximation=share,
@@ -258,7 +258,7 @@ def coverage_of_record_by_keys(
     ids = _record_ids(record)
     if not ids:
         raise EmptyRecord("record is empty")
-    regions = region_rows(corpus, keys, row_bits(corpus, ids))
+    regions = region_rows(corpus, keys, corpus.bitset(ids))
     hit = sum(bits.bit_count() for flags, bits in regions.items()
               if sum(flags) >= min_fields)
     return hit / len(ids)

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, bitset_from_digits
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
-                     OutOfRange, UnknownPubId)
+                     OutOfRange)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
                    KeysConfig, KeyValueSets, compute_all_keys)
 from .seed import SeedRecord
@@ -198,16 +198,6 @@ class SpecialtyApproximation:
         return pub_id in self.member_set
 
 
-def row_bits(corpus: Corpus, ids: Iterable[str]) -> int:
-    """The row bitset of ``ids``; an id absent from the corpus raises
-    :class:`UnknownPubId`."""
-    ids = frozenset(ids)
-    unknown = ids.difference(corpus.rows)
-    if unknown:
-        raise UnknownPubId(min(unknown))
-    return corpus.bitset(ids)
-
-
 def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
     """Per field in canonical order, the row bitset the key values cover.
 
@@ -320,7 +310,7 @@ def covered_ids(
     :func:`covered_rows` restricted to the candidates, as ids.  A
     candidate absent from the corpus raises :class:`UnknownPubId`.
     """
-    candidates = row_bits(corpus, candidate_ids)
+    candidates = corpus.bitset(candidate_ids)
     return {field: frozenset(corpus.ids_of(candidates & bits))
             for field, bits in covered_rows(corpus, keys).items()}
 
@@ -336,7 +326,7 @@ def coverage_regions(
     included), in :func:`all_masks` order, and the regions partition the
     candidates.
     """
-    regions = region_rows(corpus, keys, row_bits(corpus, candidate_ids))
+    regions = region_rows(corpus, keys, corpus.bitset(candidate_ids))
     return {flags: frozenset(corpus.ids_of(bits))
             for flags, bits in regions.items()}
 
@@ -419,7 +409,7 @@ def seed_coverage_histogram(
     if not seed.all_ids:
         raise EmptyApproximation("seed record is empty")
     counts = _histogram(region_rows(corpus, keys,
-                                    row_bits(corpus, seed.all_ids)))
+                                    corpus.bitset(seed.all_ids)))
     return {k: n / len(seed.all_ids) for k, n in counts.items()}
 
 

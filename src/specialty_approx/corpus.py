@@ -15,7 +15,7 @@ binary numeral, ``len(corpus)`` digits wide, has a ``1`` for each member
 row in row order (:func:`bitset_from_digits` and :meth:`Corpus.bitset`
 build one, :meth:`Corpus.ids_of` reads one back, in id order).  Every
 posting that holds at least a 64th of the corpus is dense and also gets
-its bitset, at most about a seventh of the size of the frozenset it
+its bitset, at most about a sixth of the size of the frozenset it
 shadows; set algebra over dense postings is ``&``, ``|`` and
 :meth:`int.bit_count`.
 
@@ -42,7 +42,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DuplicatePubId, EmptyCategorySet, FileUnreadable, SchemaError
+from .errors import (DuplicatePubId, EmptyCategorySet, FileUnreadable,
+                     SchemaError, UnknownPubId)
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 _DOI_LIKE = re.compile(r"^(?:doi:)?10\.\d{4,9}/\S+$", re.IGNORECASE)
@@ -526,8 +527,13 @@ class Corpus:
         """The rows of ``ids``, all corpus ids, in their order."""
         return _rows_of(ids, self.rows)
 
-    def bitset(self, ids: Collection[str]) -> int:
-        """The row bitset of ``ids``, which must all be corpus ids."""
+    def bitset(self, ids: Iterable[str]) -> int:
+        """The row bitset of ``ids``; an id absent from the corpus raises
+        :class:`UnknownPubId`."""
+        ids = frozenset(ids)
+        unknown = ids.difference(self.rows)
+        if unknown:
+            raise UnknownPubId(min(unknown))
         return _bitset_of(ids, self.rows)
 
     def ids_of(self, bits: int) -> list[str]:
