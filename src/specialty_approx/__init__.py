@@ -15,7 +15,7 @@ specialty labels to validate recovery.
 """
 
 from .approx import (CoverageProfile, SpecialtyApproximation, YearWindow,
-                     build_approximation, coverage_profile, covered_ids,
+                     build_approximation, coverage_profile,
                      expected_inclusion_probability, expected_inclusion_rate,
                      rederive_key_values, seed_coverage_histogram,
                      write_approximation_csv)
@@ -23,10 +23,9 @@ from .analytics import (AuthorRanking, ExcludedAuthor, ExclusionReason,
                         MutualCoverage, RankedAuthor, RankingSource,
                         conflicted_author_keys, coverage_of_record_by_keys,
                         mutual_coverage, rank_authors, write_rankings_csv)
-from .corpus import (AuthorName, CellId, Corpus, DocType, IngestOptions,
-                     IngestReport, Publication, derive_cell, ingest,
-                     is_doi_like, normalize_author_key, parse_record,
-                     tokenize_title)
+from .corpus import (AuthorName, CellId, Corpus, DocType, IngestReport,
+                     Publication, derive_cell, ingest, is_doi_like,
+                     normalize_author_key, parse_record, tokenize_title)
 from .errors import (CorpusInputError, DuplicatePubId, EmptyApproximation,
                      EmptyCategorySet, EmptyInitialSet, EmptyRecord,
                      EmptySeed, EmptyWindow, FileUnreadable, InvalidConfig,
@@ -50,7 +49,7 @@ __all__ = [
     "EmptyRecord", "EmptySeed", "EmptyWindow", "ExcludedAuthor",
     "ExclusionReason", "FIELD_ORDER", "FIELD_SPECS", "FieldKind",
     "FieldSpec", "FileUnreadable",
-    "GeneratorConfig", "GroundTruth", "IngestOptions", "IngestReport",
+    "GeneratorConfig", "GroundTruth", "IngestReport",
     "InvalidConfig", "KeyValueEntry", "KeyValueSet", "KeyValueSets",
     "KeysConfig", "LabelMismatch", "MutualCoverage", "OutOfRange",
     "Provenance", "Publication", "RankedAuthor", "RankingSource",
@@ -58,7 +57,7 @@ __all__ = [
     "SpecialtyApproximation", "SpecialtyParams", "UnknownPubId",
     "Unsatisfiable", "YearWindow", "build_approximation", "build_records",
     "build_seed_record", "compute_all_keys", "conflicted_author_keys",
-    "coverage_of_record_by_keys", "coverage_profile", "covered_ids",
+    "coverage_of_record_by_keys", "coverage_profile",
     "derive_cell", "evaluate_recovery", "expected_inclusion_probability",
     "expected_inclusion_rate", "field_frequencies",
     "generate", "homonym_surnames", "ingest", "is_doi_like",

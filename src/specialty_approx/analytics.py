@@ -230,7 +230,7 @@ def mutual_coverage(
 
     share = len(ids & approximation.member_set) / len(ids)
 
-    members = corpus.bitset(approximation.member_set)
+    members = approximation.member_rows
     return MutualCoverage(
         subject_id=subject_id,
         share_in_approximation=share,

@@ -13,10 +13,9 @@ byte per row.  :func:`region_rows` splits a batch of candidate rows into
 its 16 flag regions with ``&``, so the histogram and the subset sizes
 are bit counts and the members are the set rows of whole regions, read
 in row order and so already sorted; the approximation, the seed
-histogram and the analytics all ask it.  :func:`covered_ids` and
-:func:`coverage_regions` give the same answers as ids.
-:func:`coverage_profile` evaluates the same rules on one publication and
-is the reference the engine must match.
+histogram and the analytics all ask it.  :func:`coverage_profile`
+evaluates the same rules on one publication and is the reference the
+engine must match.
 
 Under per-field coverage ``t`` and independence, the chance a seed-like
 publication lands in a >=3-of-4 approximation is
@@ -27,11 +26,12 @@ publication lands in a >=3-of-4 approximation is
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 from operator import and_
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, bitset_from_digits
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
@@ -136,14 +136,11 @@ class CoverageProfile:
         """Four-character bitmask in canonical field order, e.g. "1011"."""
         return _mask(self.flags)
 
-    def covers(self, field: FieldKind) -> bool:
-        return self.flags[FIELD_ORDER.index(field)]
-
 
 def coverage_profile(pub, keys: KeyValueSets) -> CoverageProfile:
     """Evaluate all four coverage rules for one publication.
 
-    The per-publication reference that :func:`covered_ids` must match.
+    The per-publication reference that :func:`covered_rows` must match.
     """
     config = keys.config
     return CoverageProfile(pub.pub_id, tuple(
@@ -157,11 +154,6 @@ def _mask(flags: tuple[bool, ...]) -> str:
     return "".join("1" if f else "0" for f in flags)
 
 
-def all_masks() -> tuple[str, ...]:
-    """All 16 flag-combination masks, sorted."""
-    return tuple(format(i, "04b") for i in range(16))
-
-
 @dataclass(frozen=True)
 class SpecialtyApproximation:
     """The approximated specialty over one year window.
@@ -169,8 +161,10 @@ class SpecialtyApproximation:
     ``histogram`` counts every in-window publication by covered-field
     count (bins 0..4 always present); ``subset_sizes`` counts them by
     exact flag combination (all 16 masks present).  ``member_flags``
-    maps each member to its flag tuple; ``profiles`` holds the members'
-    coverage profiles, built on first read.
+    maps each member to its flag tuple, and ``member_rows`` is the
+    members' row bitset over the rows of the corpus the approximation
+    was built on; ``profiles`` holds the members' coverage profiles,
+    built on first read.
     """
 
     member_ids: tuple[str, ...]
@@ -180,6 +174,8 @@ class SpecialtyApproximation:
     histogram: Mapping[int, int]
     subset_sizes: Mapping[str, int]
     member_flags: Mapping[str, tuple[bool, ...]]
+    # no repr: past about 14k rows its decimal digits pass Python's limit
+    member_rows: int = dataclasses.field(repr=False)
 
     @cached_property
     def member_set(self) -> frozenset[str]:
@@ -290,45 +286,14 @@ def region_rows(
 
     Region ``flags`` holds the candidates whose coverage profile has
     exactly those flags.  Every tuple is a key (empty regions included),
-    in :func:`all_masks` order, and the regions partition the
-    candidates.
+    in mask order from ``0000`` to ``1111``, and the regions partition
+    the candidates.
     """
     covered = covered_rows(corpus, keys).values()
     return {flags: reduce(and_, (bits if hit else ~bits
                                  for hit, bits in zip(flags, covered)),
                           candidates)
             for flags in _FLAG_TUPLES}
-
-
-def covered_ids(
-    corpus: Corpus,
-    keys: KeyValueSets,
-    candidate_ids: Iterable[str],
-) -> dict[FieldKind, frozenset[str]]:
-    """Per field in canonical order, the candidates the key values cover.
-
-    :func:`covered_rows` restricted to the candidates, as ids.  A
-    candidate absent from the corpus raises :class:`UnknownPubId`.
-    """
-    candidates = corpus.bitset(candidate_ids)
-    return {field: frozenset(corpus.ids_of(candidates & bits))
-            for field, bits in covered_rows(corpus, keys).items()}
-
-
-def coverage_regions(
-    corpus: Corpus,
-    keys: KeyValueSets,
-    candidate_ids: Iterable[str],
-) -> dict[tuple[bool, ...], frozenset[str]]:
-    """The candidates split by flag tuple into their 16 coverage regions.
-
-    :func:`region_rows` as ids: every tuple is a key (empty regions
-    included), in :func:`all_masks` order, and the regions partition the
-    candidates.
-    """
-    regions = region_rows(corpus, keys, corpus.bitset(candidate_ids))
-    return {flags: frozenset(corpus.ids_of(bits))
-            for flags, bits in regions.items()}
 
 
 def _histogram(regions: Mapping[tuple[bool, ...], int]) -> dict[int, int]:
@@ -375,6 +340,7 @@ def build_approximation(
         subset_sizes={_mask(flags): bits.bit_count()
                       for flags, bits in regions.items()},
         member_flags=member_flags,
+        member_rows=members,
     )
 
 

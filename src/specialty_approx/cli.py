@@ -359,9 +359,7 @@ def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
 # ------------------------------------------------------------- subcommands
 
 def cmd_ingest(run: _Run, args: argparse.Namespace) -> int:
-    loaded = corpus_mod.ingest(
-        args.corpus, corpus_mod.IngestOptions(strict=args.strict)
-    )
+    loaded = corpus_mod.ingest(args.corpus, strict=args.strict)
     run.add_input("corpus", args.corpus)
     report = loaded.ingest_report
     years = sorted(loaded.by_year)
@@ -472,7 +470,7 @@ def _rederive_run(run: _Run, run_dir: Path, loaded: corpus_mod.Corpus):
         raise InvalidConfig(f"not an approx run dir: no {summary_path}")
     try:
         summary = json.loads(summary_path.read_bytes())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise FileUnreadable(f"cannot read {summary_path}: {exc}") from exc
     if not isinstance(summary, dict) or "approximation" not in summary:
         raise InvalidConfig(f"{run_dir} holds no approximation "

@@ -314,19 +314,6 @@ class Publication:
 
 
 @dataclass(frozen=True)
-class IngestOptions:
-    """Knobs for :func:`ingest`.
-
-    strict
-        When true, the first malformed line raises :class:`SchemaError`;
-        when false (default) malformed lines are skipped and reported in
-        :attr:`Corpus.ingest_report`.
-    """
-
-    strict: bool = False
-
-
-@dataclass(frozen=True)
 class RejectedLine:
     line_no: int
     reason: str
@@ -622,12 +609,12 @@ def decode_json_line(line: str, line_no: int):
         raise SchemaError(line_no, f"invalid JSON: {exc}") from exc
 
 
-def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
+def ingest(path: str | Path, strict: bool = False) -> Corpus:
     """Parse a JSON-lines corpus file into an indexed :class:`Corpus`.
 
     Blank lines are skipped.  Malformed lines (undecodable JSON or schema
     violations) are skipped and reported via ``corpus.ingest_report``
-    unless ``options.strict`` is set, in which case the first violation
+    unless ``strict`` is set, in which case the first violation
     raises :class:`SchemaError`.  Duplicate publication ids always raise
     :class:`DuplicatePubId`, strict or not: a silently dropped duplicate
     could change every downstream count.
@@ -648,7 +635,6 @@ def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
     acyclic, immutable objects, which the collector would otherwise walk
     again and again.
     """
-    options = options or IngestOptions()
     pubs: dict[str, Publication] = {}
     rejected: list[RejectedLine] = []
     total = 0
@@ -662,7 +648,7 @@ def ingest(path: str | Path, options: IngestOptions | None = None) -> Corpus:
             try:
                 pub = parse_record(decode_json_line(line, line_no), line_no)
             except SchemaError as exc:
-                if options.strict:
+                if strict:
                     raise
                 rejected.append(RejectedLine(exc.line_no, exc.reason))
                 continue

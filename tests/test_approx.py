@@ -12,20 +12,22 @@ from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
     FIELD_ORDER, AuthorScope, FieldKind, KeysConfig, KeyValueSets,
     SeedRecord, YearWindow, build_approximation, build_seed_record,
-    compute_all_keys, coverage_of_record_by_keys, coverage_profile,
-    covered_ids, ingest,
+    compute_all_keys, coverage_of_record_by_keys, coverage_profile, ingest,
     expected_inclusion_probability, expected_inclusion_rate,
     rederive_key_values, seed_coverage_histogram, select_key_values,
     write_approximation_csv,
 )
-from specialty_approx.approx import (APPROX_CSV_COLUMNS, all_masks,
-                                     coverage_regions,
-                                     key_author_match_counts)
+from specialty_approx.approx import (APPROX_CSV_COLUMNS, covered_rows,
+                                     key_author_match_counts, region_rows)
 from specialty_approx.errors import (
     EmptyApproximation, EmptyWindow, InvalidConfig, OutOfRange, Unsatisfiable,
 )
 from specialty_approx.keys import FIELD_SPECS, KeyValueEntry, KeyValueSet
 from test_corpus import minimal_record
+
+# the 16 flag masks, sorted
+MASKS = ["0000", "0001", "0010", "0011", "0100", "0101", "0110", "0111",
+         "1000", "1001", "1010", "1011", "1100", "1101", "1110", "1111"]
 
 
 # ------------------------------------------------------------ inclusion math
@@ -105,13 +107,6 @@ def test_year_window_rejects_bad_input():
 
 # ---------------------------------------------------------- coverage profile
 
-def test_all_masks_enumerates_16_sorted():
-    masks = all_masks()
-    assert len(masks) == 16
-    assert masks[0] == "0000" and masks[-1] == "1111"
-    assert list(masks) == sorted(masks)
-
-
 def craft_keys(corpus, seed_ids, **config_kwargs):
     """Key-value sets at permissive thresholds, keeping exhausted partials.
 
@@ -168,8 +163,6 @@ def test_coverage_profile_flags_follow_field_rules():
     assert profile_q1.flags == (True, False, False, True)
     assert profile_q1.mask == "1001"
     assert profile_q1.count == 2
-    assert profile_q1.covers(FieldKind.CELL)
-    assert not profile_q1.covers(FieldKind.AUTHOR)
 
     profile_q2 = coverage_profile(corpus.publications["q2"], keys)
     assert profile_q2.flags == (False, False, False, False)
@@ -222,7 +215,7 @@ def test_build_approximation_member_structures_are_consistent():
         assert sum(result.histogram.values()) == result.n_in_window
         assert sum(result.subset_sizes.values()) == result.n_in_window
         assert sorted(result.histogram) == [0, 1, 2, 3, 4]
-        assert sorted(result.subset_sizes) == list(all_masks())
+        assert sorted(result.subset_sizes) == MASKS
         # histogram is the mask-size table aggregated by popcount
         for count in range(5):
             assert result.histogram[count] == sum(
@@ -317,26 +310,26 @@ def test_region_split_matches_profiles_on_edge_case_keys(required_title_words):
     )
     profile = {pid: coverage_profile(pub, keys)
                for pid, pub in corpus.publications.items()}
-    assert not any(p.covers(FieldKind.CELL) for p in profile.values())
+    assert not any(p.flags[0] for p in profile.values())   # cell
     if required_title_words > len(words):
-        assert not any(p.covers(FieldKind.TITLE_WORD)
-                       for p in profile.values())
+        assert not any(p.flags[1] for p in profile.values())   # title word
 
     window = YearWindow(2005, 2007)
     window_ids = {pid for pid, pub in corpus.publications.items()
                   if pub.year in window}
-    regions = coverage_regions(corpus, keys, window_ids)
-    assert sorted("".join(str(int(f)) for f in flags)
-                  for flags in regions) == list(all_masks())
-    for flags, region in regions.items():
-        assert all(profile[pid].flags == flags for pid in region)
-    assert sum(map(len, regions.values())) == len(window_ids)
+    regions = region_rows(corpus, keys, corpus.bitset(window_ids))
+    assert ["".join(str(int(f)) for f in flags) for flags in regions] == MASKS
+    for flags, bits in regions.items():
+        assert bits == corpus.bitset(pid for pid in window_ids
+                                     if profile[pid].flags == flags)
+    assert sum(bits.bit_count() for bits in regions.values()) \
+        == len(window_ids)
 
     for min_fields in (1, 2, 3, 4):
         result = build_approximation(corpus, keys, window, min_fields)
         assert result.n_in_window == len(window_ids)
         assert sum(result.subset_sizes.values()) == result.n_in_window
-        for mask in all_masks():
+        for mask in MASKS:
             assert result.subset_sizes[mask] == sum(
                 profile[pid].mask == mask for pid in window_ids)
         for k in range(5):
@@ -372,7 +365,7 @@ def test_coverage_cost_does_not_grow_with_required_title_words(
                       required_title_words=required_title_words)
     started = time.perf_counter()
     result = build_approximation(corpus, keys, YearWindow(2005, 2008), 1)
-    covered = covered_ids(corpus, keys, corpus.publications)
+    covered = covered_rows(corpus, keys)
     assert time.perf_counter() - started < 1.0
     assert not covered[FieldKind.TITLE_WORD]
     assert not any(flags[1] for flags in result.member_flags.values())
@@ -401,17 +394,18 @@ def test_coverage_on_edge_corpora(tmp_path, lines, window, in_window):
     keys = hand_keys(KeysConfig(author_scope=AuthorScope.ALL_AUTHORS),
                      cell=["Phys"], title_word=["greedy", "coverage"],
                      author=["WEISS A"], reference=["10.1000/xyz1"])
-    everyone = frozenset(corpus.publications)
-    assert covered_ids(corpus, keys, everyone) == dict.fromkeys(
-        FIELD_ORDER, everyone)
-    regions = coverage_regions(corpus, keys, everyone)
+    everyone = corpus.bitset(corpus.publications)
+    assert covered_rows(corpus, keys) == dict.fromkeys(FIELD_ORDER, everyone)
+    regions = region_rows(corpus, keys, everyone)
     assert regions[(True,) * 4] == everyone
-    assert sum(map(len, regions.values())) == len(everyone)
+    assert sum(bits.bit_count() for bits in regions.values()) \
+        == len(corpus.publications)
     for min_fields in (1, 2, 3, 4):
         result = build_approximation(corpus, keys, YearWindow(*window),
                                      min_fields)
         assert result.n_in_window == len(in_window)
         assert list(result.member_ids) == in_window
+        assert result.member_rows == corpus.bitset(result.member_ids)
         assert result.histogram == {0: 0, 1: 0, 2: 0, 3: 0,
                                     4: len(in_window)}
         assert result.subset_sizes["1111"] == len(in_window)

@@ -1,16 +1,24 @@
 """End-to-end command-line tests (each command run as a subprocess)."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specialty_approx import GeneratorConfig, SpecialtyParams, cli, ingest
+import specialty_approx
+from specialty_approx import (GeneratorConfig, KeysConfig, SpecialtyParams,
+                              cli, ingest)
 from test_corpus import minimal_record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -500,6 +508,15 @@ def test_importing_the_cli_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+def test_every_export_resolves_once():
+    names = specialty_approx.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(specialty_approx, n)] == []
+    namespace = {}
+    exec("from specialty_approx import *", namespace)
+    assert set(names) <= namespace.keys()
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_malformed_corpus_exits_2(workspace, tmp_path):
@@ -695,6 +712,10 @@ def evaluate_with_truth(text):
 @pytest.mark.parametrize("argv,code", [
     pytest.param(on_run("evaluate", "summary.json", truncate), 2,
                  id="truncated-summary"),
+    pytest.param(on_run("reviewers", "summary.json",
+                        lambda p: p.write_text("[" * 100_000,
+                                               encoding="utf-8")),
+                 2, id="summary-deep-nesting"),
     pytest.param(on_run("coverage", "keys.csv", lambda p: p.unlink()), 2,
                  id="missing-keys-csv"),
     pytest.param(on_run("evaluate", "approximation.csv", drop_last_row), 2,
@@ -761,3 +782,69 @@ def test_unusable_input_fails_cleanly(workspace, tmp_path, argv, code):
     assert sum("error:" in line for line in result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+# ------------------------------------------------------ fuzzed run directory
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text()
+    | st.integers(0, 4000).map(lambda n: 10**n),   # ints of up to 4001 digits
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8,
+)
+
+
+def edit_config(config_edits, keys_edits):
+    """Replace entries of ``summary.json["config"]`` and of its ``keys``."""
+    def damage(run):
+        path = run / "summary.json"
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        summary["config"]["keys"].update(keys_edits)
+        summary["config"].update(config_edits)
+        path.write_text(json.dumps(summary), encoding="utf-8")
+    return damage
+
+
+def truncate_at(name, share):
+    """Cut the run's file ``name`` to ``share`` of its bytes."""
+    def damage(run):
+        raw = (run / name).read_bytes()
+        (run / name).write_bytes(raw[:int(len(raw) * share)])
+    return damage
+
+
+RUN_DAMAGE = (
+    st.builds(edit_config,
+              st.dictionaries(st.sampled_from(
+                  ["keys", "extend", "window", "min_fields"]),
+                  JSON_VALUES, max_size=2),
+              st.dictionaries(st.sampled_from(sorted(KeysConfig().to_dict())),
+                              JSON_VALUES, max_size=2))
+    | st.builds(truncate_at, st.sampled_from(["summary.json", "seed.csv"]),
+                st.floats(0, 1, exclude_max=True))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(damage=RUN_DAMAGE)
+def test_damaged_run_dir_fails_cleanly(workspace, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        run, out = Path(tmp) / "run", Path(tmp) / "out"
+        shutil.copytree(workspace["run"], run)
+        damage(run)
+        out.mkdir()
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main([
+                    "coverage", str(workspace["corpus"]), "--run", str(run),
+                    "--ids", str(workspace["ids"]), "--out", str(out)])
+        finally:
+            gc.unfreeze()   # main's corpus load froze the heap
+        assert code in (0, 1, 2)
+        lines = stderr.getvalue().splitlines()
+        assert sum("error:" in line for line in lines) <= 1
+        if code:
+            assert list(out.iterdir()) == []

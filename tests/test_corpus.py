@@ -17,7 +17,7 @@ from oracles import (oracle_author_key, oracle_is_doi, oracle_tokens,
                      record_field_values)
 from specialty_approx import (
     AuthorName, AuthorScope, CellId, Corpus, DocType, GeneratorConfig,
-    IngestOptions, KeysConfig, Publication, SpecialtyParams, derive_cell,
+    KeysConfig, Publication, SpecialtyParams, derive_cell,
     ingest, is_doi_like, normalize_author_key, parse_record, tokenize_title,
 )
 from specialty_approx.keys import FIELD_SPECS
@@ -460,7 +460,7 @@ def test_ingest_strict_raises_on_first_bad_line(tmp_path):
     path.write_text(json.dumps(minimal_record()) + "\n{broken\n",
                     encoding="utf-8")
     with pytest.raises(SchemaError) as exc_info:
-        ingest(path, IngestOptions(strict=True))
+        ingest(path, strict=True)
     assert exc_info.value.line_no == 2
 
 
@@ -506,27 +506,27 @@ def test_ingest_rejects_undecodable_lines(tmp_path):
     for line_no in (2, 3):
         path.write_text(lines[line_no - 1] + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as exc_info:
-            ingest(path, IngestOptions(strict=True))
+            ingest(path, strict=True)
         assert exc_info.value.line_no == 1
 
 
 def _lenient_duplicate(path):
     write_jsonl(path, [minimal_record(), minimal_record()])
-    return IngestOptions(), DuplicatePubId
+    return False, DuplicatePubId
 
 
 def _strict_schema_error(path):
     path.write_text("{broken\n", encoding="utf-8")
-    return IngestOptions(strict=True), SchemaError
+    return True, SchemaError
 
 
 def _unreadable(path):
-    return IngestOptions(), FileUnreadable
+    return False, FileUnreadable
 
 
 def _valid(path):
     write_jsonl(path, [minimal_record()])
-    return IngestOptions(), None
+    return False, None
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -534,15 +534,15 @@ def _valid(path):
     _valid, _lenient_duplicate, _strict_schema_error, _unreadable,
 ])
 def test_ingest_restores_collector_state(tmp_path, enabled, prepare):
-    options, error = prepare(tmp_path / "corpus.jsonl")
+    strict, error = prepare(tmp_path / "corpus.jsonl")
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if error is None:
-            ingest(tmp_path / "corpus.jsonl", options)
+            ingest(tmp_path / "corpus.jsonl", strict=strict)
         else:
             with pytest.raises(error):
-                ingest(tmp_path / "corpus.jsonl", options)
+                ingest(tmp_path / "corpus.jsonl", strict=strict)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()

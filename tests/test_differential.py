@@ -21,10 +21,10 @@ from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
     FIELD_ORDER, AuthorScope, FieldKind, GeneratorConfig, SpecialtyParams,
     YearWindow, build_approximation, build_seed_record,
-    coverage_of_record_by_keys, coverage_profile, covered_ids,
-    mutual_coverage, seed_coverage_histogram,
+    coverage_of_record_by_keys, coverage_profile, mutual_coverage,
+    seed_coverage_histogram,
 )
-from specialty_approx.approx import coverage_regions
+from specialty_approx.approx import covered_rows, region_rows
 from specialty_approx.errors import EmptyApproximation
 from specialty_approx.keys import FIELD_SPECS
 from specialty_approx.syngen import build_records
@@ -154,12 +154,12 @@ def test_dense_and_sparse_postings_match_the_oracle():
         peer_flags = oracle_flags(records, peer_keys)
         count = {pid: sum(f) for pid, f in flags.items()}
 
-        assert covered_ids(corpus, keys, candidates) == {
-            field: frozenset(p for p in candidates if flags[p][i])
+        assert covered_rows(corpus, keys) == {
+            field: corpus.bitset(p for p in candidates if flags[p][i])
             for i, field in enumerate(FIELD_ORDER)}
-        regions = coverage_regions(corpus, keys, candidates)
+        regions = region_rows(corpus, keys, corpus.bitset(candidates))
         assert regions == {
-            region: frozenset(p for p in candidates if flags[p] == region)
+            region: corpus.bitset(p for p in candidates if flags[p] == region)
             for region in itertools.product((False, True), repeat=4)}
 
         seed = build_seed_record(corpus, seed_ids, extend=False)
@@ -177,6 +177,7 @@ def test_dense_and_sparse_postings_match_the_oracle():
                                     **kwargs)
             assert members
             assert list(result.member_ids) == members
+            assert result.member_rows == corpus.bitset(result.member_ids)
             assert dict(result.histogram) == histogram
             assert dict(result.subset_sizes) == subset_sizes
             assert result.n_in_window == n_in_window
