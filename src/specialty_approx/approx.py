@@ -30,10 +30,10 @@ import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, bitset_from_digits
+from .corpus import Corpus, bitset_from_digits, ids_of_rows
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
@@ -160,11 +160,12 @@ class SpecialtyApproximation:
 
     ``histogram`` counts every in-window publication by covered-field
     count (bins 0..4 always present); ``subset_sizes`` counts them by
-    exact flag combination (all 16 masks present).  ``member_flags``
-    maps each member to its flag tuple, and ``member_rows`` is the
-    members' row bitset over the rows of the corpus the approximation
-    was built on; ``profiles`` holds the members' coverage profiles,
-    built on first read.
+    exact flag combination (all 16 masks present).  ``member_rows`` is
+    the members' row bitset over ``row_ids``, the rows of the corpus the
+    approximation was built on, and ``member_regions`` splits it by flag
+    tuple.  ``member_flags`` (each member's flag tuple) and ``profiles``
+    (the members' coverage profiles) are decoded from those on first
+    read.
     """
 
     member_ids: tuple[str, ...]
@@ -173,13 +174,26 @@ class SpecialtyApproximation:
     n_in_window: int
     histogram: Mapping[int, int]
     subset_sizes: Mapping[str, int]
-    member_flags: Mapping[str, tuple[bool, ...]]
-    # no repr: past about 14k rows its decimal digits pass Python's limit
+    # no repr: past about 14k rows a bitset's decimal digits pass
+    # Python's int-to-str limit
     member_rows: int = dataclasses.field(repr=False)
+    member_regions: Mapping[tuple[bool, ...], int] = dataclasses.field(
+        repr=False)
+    # the corpus's own tuple, not a copy
+    row_ids: tuple[str, ...] = dataclasses.field(repr=False, compare=False)
 
     @cached_property
     def member_set(self) -> frozenset[str]:
         return frozenset(self.member_ids)
+
+    @cached_property
+    def member_flags(self) -> Mapping[str, tuple[bool, ...]]:
+        """Each member's flag tuple, region by region."""
+        flags_of: dict[str, tuple[bool, ...]] = {}
+        for flags, bits in self.member_regions.items():
+            flags_of.update(dict.fromkeys(ids_of_rows(bits, self.row_ids),
+                                          flags))
+        return flags_of
 
     @cached_property
     def profiles(self) -> Mapping[str, CoverageProfile]:
@@ -316,7 +330,8 @@ def build_approximation(
     into their 16 :func:`region_rows`; the histogram and subset sizes are
     the regions' bit counts, and the members are the rows of the regions
     with at least ``min_fields`` flags, read in row order, so sorted.
-    Coverage profiles are built only when
+    Member flags and coverage profiles are decoded only when
+    :attr:`SpecialtyApproximation.member_flags` or
     :attr:`SpecialtyApproximation.profiles` is first read.
     """
     if not 1 <= min_fields <= 4:
@@ -325,12 +340,9 @@ def build_approximation(
     in_window = _held_by_at_least(corpus, years, 1)
     regions = region_rows(corpus, keys, in_window)
 
-    members = 0
-    member_flags: dict[str, tuple[bool, ...]] = {}
-    for flags, bits in regions.items():
-        if sum(flags) >= min_fields:
-            members |= bits
-            member_flags.update(dict.fromkeys(corpus.ids_of(bits), flags))
+    member_regions = {flags: bits for flags, bits in regions.items()
+                      if sum(flags) >= min_fields}
+    members = reduce(or_, member_regions.values(), 0)
     return SpecialtyApproximation(
         member_ids=tuple(corpus.ids_of(members)),
         window=window,
@@ -339,8 +351,9 @@ def build_approximation(
         histogram=_histogram(regions),
         subset_sizes={_mask(flags): bits.bit_count()
                       for flags, bits in regions.items()},
-        member_flags=member_flags,
         member_rows=members,
+        member_regions=member_regions,
+        row_ids=corpus.row_ids,
     )
 
 

@@ -456,6 +456,13 @@ def bitset_from_digits(digits: bytes | bytearray) -> int:
     return int(digits, 2) if digits else 0
 
 
+def ids_of_rows(bits: int, row_ids: Sequence[str]) -> list[str]:
+    """The ids of the rows set in ``bits``, where ``row_ids[row]`` is the
+    id of each row; in row order."""
+    digits = format(bits, f"0{len(row_ids)}b").encode("ascii")
+    return list(compress(row_ids, digits.translate(_DIGIT_SELECTORS)))
+
+
 def _bitset_of(ids: Collection[str], rows: Mapping[str, int]) -> int:
     """The row bitset of ``ids`` under the id -> row map ``rows``."""
     digits = bytearray(b"0") * len(rows)
@@ -525,9 +532,7 @@ class Corpus:
 
     def ids_of(self, bits: int) -> list[str]:
         """The ids of the rows set in ``bits``, in row order, so sorted."""
-        digits = format(bits, f"0{len(self.row_ids)}b").encode("ascii")
-        return list(compress(self.row_ids,
-                             digits.translate(_DIGIT_SELECTORS)))
+        return ids_of_rows(bits, self.row_ids)
 
     @classmethod
     def from_publications(

@@ -27,12 +27,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (Callable, Collection, Iterable, Iterator, Mapping,
+                    Sequence)
 
-from .corpus import Corpus, Publication
+from .corpus import Corpus, Publication, tokenize_title
 from .errors import EmptySeed, InvalidConfig, Unsatisfiable, UnknownPubId
 from .seed import SeedRecord
 
@@ -85,8 +86,8 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         index=lambda corpus, scope: corpus.by_cell),
     FieldKind.TITLE_WORD: FieldSpec(
         "title_words", "threshold_title",
-        values=lambda pub, config: frozenset(
-            t for t in pub.title_tokens if len(t) >= config.min_word_len),
+        values=lambda pub, config: tokenize_title(pub.title,
+                                                  config.min_word_len),
         index=lambda corpus, scope: corpus.by_title_word,
         required=lambda config: config.required_title_words),
     FieldKind.AUTHOR: FieldSpec(
@@ -205,11 +206,11 @@ def homonyms_among(author_keys: Iterable[str]) -> frozenset[str]:
 
 
 def _resolve_seed(
-    corpus: Corpus, seed: SeedRecord, config: KeysConfig | None
+    corpus: Corpus, seed_ids: frozenset[str], config: KeysConfig | None
 ) -> tuple[list[Publication], KeysConfig]:
     """The seed's publications in id order and the config resolved for them."""
     pubs = []
-    for pid in sorted(seed.all_ids):
+    for pid in sorted(seed_ids):
         pub = corpus.publications.get(pid)
         if pub is None:
             raise UnknownPubId(pid)
@@ -217,6 +218,14 @@ def _resolve_seed(
     if not pubs:
         raise EmptySeed("seed record is empty")
     return pubs, (config or KeysConfig()).resolved_for_seed(pubs)
+
+
+def _value_counts(
+    pubs: Sequence[Publication], config: KeysConfig, field: FieldKind
+) -> Counter[str]:
+    """Value -> number of ``pubs`` carrying it, in one pass."""
+    values = FIELD_SPECS[field].values
+    return Counter(chain.from_iterable(values(pub, config) for pub in pubs))
 
 
 def field_frequencies(
@@ -231,9 +240,8 @@ def field_frequencies(
     exclusion is a candidacy rule of :func:`select_key_values`, not a
     counting rule.
     """
-    pubs, config = _resolve_seed(corpus, seed, config)
-    values = FIELD_SPECS[field].values
-    return dict(Counter(v for pub in pubs for v in values(pub, config)))
+    pubs, config = _resolve_seed(corpus, seed.all_ids, config)
+    return dict(_value_counts(pubs, config, field))
 
 
 @dataclass(frozen=True)
@@ -304,43 +312,48 @@ def select_key_values(
     is admitted and the threshold is still not met, :class:`Unsatisfiable`
     is raised carrying the exhausted partial set.
     """
-    return _select(*_resolve_seed(corpus, seed, config), field)
+    seed_ids = seed.all_ids
+    pubs, config = _resolve_seed(corpus, seed_ids, config)
+    return _select(corpus, seed_ids, pubs, config, field)
 
 
 def _select(
-    pubs: Sequence[Publication], config: KeysConfig, field: FieldKind
+    corpus: Corpus,
+    seed_ids: frozenset[str],
+    pubs: Sequence[Publication],
+    config: KeysConfig,
+    field: FieldKind,
 ) -> KeyValueSet:
-    """:func:`select_key_values` on a resolved seed and config."""
+    """:func:`select_key_values` on a resolved seed and config.
+
+    The values are counted in one pass over ``pubs`` and grouped into
+    frequency batches; only an admitted value's seed publications are
+    looked up, as its corpus posting within ``seed_ids``.
+    """
     threshold = config.threshold_for(field)
     required = config.required_hits(field)
-    values = FIELD_SPECS[field].values
-    posting: dict[str, list[str]] = defaultdict(list)
-    for pub in pubs:
-        for value in values(pub, config):
-            posting[value].append(pub.pub_id)
-    n_unique = len(posting)
+    counts = _value_counts(pubs, config, field)
 
-    n_homonyms_excluded = 0
+    eligible: Collection[str] = counts
     if field is FieldKind.AUTHOR:
-        homonyms = homonym_surnames(pubs, config.author_scope)
+        homonyms = homonyms_among(counts)
         if homonyms:
-            before = len(posting)
-            posting = {
-                k: v for k, v in posting.items()
-                if k.rpartition(" ")[0] not in homonyms
-            }
-            n_homonyms_excluded = before - len(posting)
+            eligible = [key for key in counts
+                        if key.rpartition(" ")[0] not in homonyms]
+    batches: dict[int, list[str]] = defaultdict(list)
+    for value in eligible:
+        batches[counts[value]].append(value)
 
-    # one deterministic ranking; groupby yields the tie batches
-    ranked = sorted(posting.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    index = FIELD_SPECS[field].index(corpus, config.author_scope)
     n = len(pubs)
     hit_counts: dict[str, int] = defaultdict(int)
     covered = 0
     entries: list[KeyValueEntry] = []
     reached = False
-    for freq, batch in groupby(ranked, key=lambda kv: len(kv[1])):
-        for value, pub_ids in batch:
-            for pid in pub_ids:
+    # frequencies descending, values ascending within a tie batch
+    for freq in sorted(batches, reverse=True):
+        for value in sorted(batches[freq]):
+            for pid in index[value] & seed_ids:
                 hit_counts[pid] += 1
                 if hit_counts[pid] == required:
                     covered += 1
@@ -354,9 +367,9 @@ def _select(
         entries=tuple(entries),
         threshold=threshold,
         achieved_coverage=covered / n,
-        n_unique_values=n_unique,
-        n_eligible_values=len(posting),
-        n_excluded_homonyms=n_homonyms_excluded,
+        n_unique_values=len(counts),
+        n_eligible_values=len(eligible),
+        n_excluded_homonyms=len(counts) - len(eligible),
         descended_to_frequency_one=bool(entries) and entries[-1].frequency == 1,
         exhausted=not reached,
     )
@@ -412,9 +425,10 @@ def compute_all_keys(
     raises :class:`Unsatisfiable` (fields run in the canonical order
     cell, title word, author, reference).
     """
-    pubs, config = _resolve_seed(corpus, seed, config)
+    seed_ids = seed.all_ids
+    pubs, config = _resolve_seed(corpus, seed_ids, config)
     return KeyValueSets(config=config, **{
-        spec.attr: _select(pubs, config, field)
+        spec.attr: _select(corpus, seed_ids, pubs, config, field)
         for field, spec in FIELD_SPECS.items()
     })
 

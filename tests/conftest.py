@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -12,6 +13,14 @@ import specialty_approx as sa
 from specialty_approx.syngen import GeneratorConfig, SpecialtyParams, build_records
 
 ACCEPTANCE_RESULTS: list[str] = []
+
+
+def pytest_configure(config):
+    """Let the tests that start the CLI or a demo in a fresh interpreter
+    import the package from this checkout, as ``pythonpath`` in
+    ``pyproject.toml`` lets the tests themselves."""
+    paths = (str(config.rootpath / "src"), os.environ.get("PYTHONPATH"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

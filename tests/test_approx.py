@@ -1,5 +1,6 @@
 """Approximation tests: inclusion math, windows, profiles, assembly."""
 
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -233,6 +234,33 @@ def test_build_approximation_member_structures_are_consistent():
             pub = corpus.publications[pid]
             assert pub.year in window
             assert coverage_profile(pub, keys).count >= min_fields
+
+
+def test_member_flags_are_decoded_on_first_read():
+    rng = np.random.default_rng(99)
+    records = make_random_records(rng, 120, years=(2005, 2008))
+    corpus = records_to_corpus(records)
+    keys = craft_keys(corpus, [r["id"] for r in records[:40]])
+    result = build_approximation(corpus, keys, YearWindow(2005, 2007), 2)
+    assert result.row_ids is corpus.row_ids
+    assert "member_flags" not in vars(result)
+    assert result.member_flags == {
+        pid: coverage_profile(corpus.publications[pid], keys).flags
+        for pid in result.member_ids}
+    assert "member_flags" in vars(result)
+
+
+def test_repr_survives_bitsets_past_the_int_to_str_limit():
+    corpus = records_to_corpus([minimal_record(id="p1", year=2010)])
+    keys = craft_keys(corpus, ["p1"])
+    result = build_approximation(corpus, keys, YearWindow(2010, 2010), 1)
+    big = 1 << 20000   # 6021 decimal digits; the default limit is 4300
+    wide = dataclasses.replace(result, member_rows=big,
+                               member_regions={(True,) * 4: big})
+    text = repr(wide)
+    assert text.startswith("SpecialtyApproximation(member_ids=('p1',)")
+    for name in ("member_rows", "member_regions", "row_ids"):
+        assert name not in text
 
 
 def test_build_approximation_matches_reference_evaluator():

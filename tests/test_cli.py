@@ -384,10 +384,8 @@ def test_manifest_records_parsed_options_and_outputs(workspace, tmp_path,
 
 @pytest.mark.parametrize("command", ["ingest", "coverage", "evaluate"])
 def test_without_out_nothing_is_written(workspace, tmp_path, command):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([*CLI, *LIFECYCLE[command](workspace)],
-                            capture_output=True, text=True, cwd=tmp_path,
-                            env=env)
+                            capture_output=True, text=True, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert list(tmp_path.iterdir()) == []
 
@@ -848,3 +846,122 @@ def test_damaged_run_dir_fails_cleanly(workspace, damage):
         assert sum("error:" in line for line in lines) <= 1
         if code:
             assert list(out.iterdir()) == []
+
+
+# ------------------------------------------------------- fuzzed corpus lines
+
+CORPUS_KEYS = ("id", "year", "doc_type", "source_id", "subject_categories",
+               "title", "authors", "reprint_author", "references")
+# a placeholder value that to_lines swaps for raw JSON text
+RAW = "\0raw\0"
+
+VALID_RECORDS = st.fixed_dictionaries({
+    # a small pool, so that generated corpora repeat ids
+    "id": st.integers(0, 15).map("p{}".format),
+    "year": st.integers(1990, 2030),
+    "doc_type": st.sampled_from(["Article", "review", "oddity"]),
+    "source_id": st.text(max_size=4),
+    "subject_categories": st.lists(st.text("ABC xy", min_size=1, max_size=5),
+                                   min_size=1, max_size=3),
+    "title": st.text(max_size=30),
+    "authors": st.lists(st.fixed_dictionaries({
+        "surname": st.text(min_size=1, max_size=8),
+        "initials": st.text("AB. j", min_size=1, max_size=3)}), max_size=3),
+    "reprint_author": st.none() | st.integers(0, 3),
+    "references": st.lists(st.text(min_size=1, max_size=8), max_size=3),
+})
+
+
+def drop(key):
+    def mutate(record):
+        del record[key]
+    return mutate
+
+
+def retype(key, value):
+    return lambda record: record.__setitem__(key, value)
+
+
+def add_surrogate(key, surrogate):
+    """Put a lone surrogate into the string or list of strings at ``key``."""
+    def mutate(record):
+        value = record[key]
+        if key == "authors" and value:
+            value[0]["surname"] += surrogate
+        elif isinstance(value, list):
+            value.append(surrogate)
+        else:
+            record[key] = f"{value}{surrogate}"
+    return mutate
+
+
+def raw_value(key, text):
+    def mutate(record):
+        record[key] = RAW
+        return text
+    return mutate
+
+
+KEY = st.sampled_from(CORPUS_KEYS)
+MUTATIONS = (
+    st.builds(drop, KEY)
+    | st.builds(retype, KEY, JSON_VALUES)
+    | st.builds(add_surrogate, st.sampled_from(
+        ["id", "title", "source_id", "subject_categories", "authors",
+         "references"]), st.sampled_from(["\ud800", "\udfff"]))
+    | st.builds(raw_value, st.sampled_from(["year", "reprint_author"]),
+                st.sampled_from([4000, 5000]).map(lambda n: "1" * n))
+    | st.builds(raw_value, KEY, st.sampled_from([30, 100_000]).map(
+        lambda depth: "[" * depth + "]" * depth))
+)
+CORPUS_LINES = st.lists(
+    st.tuples(VALID_RECORDS, st.none() | MUTATIONS,
+              st.sampled_from([None, "", " \t"])),
+    max_size=6)
+
+
+def to_lines(items) -> list[str]:
+    """One JSON line per record, mutated or not, each after its blank
+    line if any.
+
+    ``json.dumps`` writes a lone surrogate as a ``\\ud800`` escape, so
+    the file itself stays valid UTF-8.
+    """
+    lines = []
+    for record, mutate, blank in items:
+        raw = mutate(record) if mutate else None
+        if blank is not None:
+            lines.append(blank)
+        line = json.dumps(record)
+        lines.append(line.replace(json.dumps(RAW), raw) if raw else line)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=CORPUS_LINES, strict=st.booleans())
+def test_fuzzed_corpus_lines_ingest_cleanly(items, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
+        corpus.write_text("".join(f"{line}\n" for line in to_lines(items)),
+                          encoding="utf-8")
+        out.mkdir()
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main(["ingest", str(corpus), "--out", str(out),
+                                 *(["--strict"] if strict else [])])
+        finally:
+            gc.unfreeze()
+        assert code in (0, 1, 2)
+        errors = [line for line in stderr.getvalue().splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) <= 1
+        if errors:
+            assert code and list(out.iterdir()) == []
+        else:
+            # lenient ingest reports the lines it rejected and exits 2
+            report = json.loads((out / "ingest_report.json").read_text())
+            assert code == (2 if report["rejected"] else 0)
+            assert report["accepted"] + len(report["rejected"]) == \
+                report["total_lines"]

@@ -20,8 +20,7 @@ def test_demo_runs(demo, tmp_path):
     # the demos write into tempfile.mkdtemp() directories: keep them here
     tmpdir = tmp_path / "tmpdir"
     tmpdir.mkdir()
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-           "TMPDIR": str(tmpdir)}
+    env = {**os.environ, "TMPDIR": str(tmpdir)}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                             env=env, capture_output=True, text=True,
                             timeout=300)

@@ -273,6 +273,26 @@ def outcome_of(corpus, seed, field, config):
         return exc.partial, False
 
 
+def assert_selection_matches_greedy(corpus, seed, seed_records, config,
+                                    tag, **oracle_kwargs):
+    """Every field's selection on ``seed`` equals the reference greedy's
+    on the seed's raw records."""
+    for field in FIELD_ORDER:
+        expected = greedy_select(seed_records, field.value,
+                                 config.threshold_for(field), **oracle_kwargs)
+        got, reached = outcome_of(corpus, seed, field, config)
+        assert reached == expected.reached, (tag, field)
+        assert got.values == expected.values, (tag, field)
+        assert [(e.value, e.frequency, e.cumulative_coverage)
+                for e in got.entries] == expected.entries
+        assert got.achieved_coverage == expected.achieved
+        assert got.n_unique_values == expected.n_unique
+        assert got.n_eligible_values == expected.n_eligible
+        assert got.n_excluded_homonyms == expected.n_excluded_homonyms
+        assert got.descended_to_frequency_one == \
+            expected.descended_to_frequency_one
+
+
 def test_selection_matches_reference_greedy_on_random_corpora():
     rng = np.random.default_rng(333)
     for round_no in range(25):
@@ -280,26 +300,46 @@ def test_selection_matches_reference_greedy_on_random_corpora():
             rng, int(rng.integers(5, 45)),
             reprint_share=float(rng.choice((0.0, 0.5, 1.0))))
         corpus = records_to_corpus(records)
-        seed = seed_of(corpus)
-        scope = resolve_scope(records)
         threshold = float(rng.choice((0.5, 0.8, 0.95)))
         config = KeysConfig(
             threshold_cell=threshold, threshold_title=threshold,
             threshold_author=threshold, threshold_reference=threshold)
-        for field in FIELD_ORDER:
-            expected = greedy_select(records, field.value, threshold,
-                                     scope=scope)
-            got, reached = outcome_of(corpus, seed, field, config)
-            assert reached == expected.reached, (round_no, field)
-            assert got.values == expected.values, (round_no, field)
-            assert [(e.value, e.frequency, e.cumulative_coverage)
-                    for e in got.entries] == expected.entries
-            assert got.achieved_coverage == expected.achieved
-            assert got.n_unique_values == expected.n_unique
-            assert got.n_eligible_values == expected.n_eligible
-            assert got.n_excluded_homonyms == expected.n_excluded_homonyms
-            assert got.descended_to_frequency_one == \
-                expected.descended_to_frequency_one
+        assert_selection_matches_greedy(corpus, seed_of(corpus), records,
+                                        config, round_no,
+                                        scope=resolve_scope(records))
+
+
+@pytest.mark.parametrize("scope", [AuthorScope.ALL_AUTHORS,
+                                   AuthorScope.REPRINT_ONLY])
+@pytest.mark.parametrize("doi_only", [False, True])
+@pytest.mark.parametrize("required_title_words", [1, 2, 3])
+@pytest.mark.parametrize("min_word_len", [1, 3, 5])
+def test_selection_matches_reference_greedy_over_the_config_space(
+        min_word_len, required_title_words, doi_only, scope):
+    rng = np.random.default_rng(
+        [min_word_len, required_title_words, int(doi_only),
+         int(scope is AuthorScope.REPRINT_ONLY)])
+    for round_no in range(12):
+        records = make_random_records(
+            rng, int(rng.integers(5, 45)),
+            reprint_share=float(rng.choice((0.0, 0.5, 1.0))))
+        corpus = records_to_corpus(records)
+        # a part of the corpus, so postings hold ids outside the seed
+        seed_records = [r for r in records if rng.random() < 0.6] \
+            or records[:1]
+        seed = seed_of(corpus, [r["id"] for r in seed_records])
+        threshold = float(rng.choice((0.5, 0.8, 0.95)))
+        config = KeysConfig(
+            threshold_cell=threshold, threshold_title=threshold,
+            threshold_author=threshold, threshold_reference=threshold,
+            min_word_len=min_word_len,
+            required_title_words=required_title_words,
+            author_scope=scope, doi_only_references=doi_only)
+        assert_selection_matches_greedy(
+            corpus, seed, seed_records, config, round_no,
+            min_word_len=min_word_len,
+            required_title_words=required_title_words,
+            scope=scope.value, doi_only=doi_only)
 
 
 # ----------------------------------------------------------- bundle and CSV
