@@ -214,11 +214,16 @@ def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
     A field covers a row when at least its required number of selected
     values carry the publication.  For key values selected under
     ``keys.config`` this equals :func:`coverage_profile` on every
-    publication.
+    publication.  On the corpus the keys were selected on
+    (``keys.corpus``) it is computed once and kept on the keys; on any
+    other corpus, and for keys made by hand, it is computed each time.
     """
     config = keys.config
     if config.author_scope is AuthorScope.AUTO:
         raise InvalidConfig("coverage needs a resolved author scope")
+    kept = keys.corpus is corpus
+    if kept and keys.covered_rows:
+        return dict(keys.covered_rows)
     covered = {}
     for field, spec in FIELD_SPECS.items():
         index = spec.index(corpus, config.author_scope)
@@ -226,6 +231,8 @@ def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
                     for value in keys.per_field(field).values]
         covered[field] = _held_by_at_least(corpus, postings,
                                            spec.required(config))
+    if kept:
+        keys.covered_rows.update(covered)
     return covered
 
 
@@ -365,12 +372,14 @@ def key_author_match_counts(
     """In-window publications carrying each selected key author.
 
     Counted in the author index of the keys' resolved scope, one posting
-    intersection per key; ``approx`` reports them in ``summary.json``.
+    intersection per key and window year; ``approx`` reports them in
+    ``summary.json``.
     """
     author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
         corpus, keys.config.author_scope)
-    window_ids = corpus.ids_in_years(y for y in corpus.by_year if y in window)
-    return {key: len(author_index.get(key, frozenset()) & window_ids)
+    years = [ids for year, ids in corpus.by_year.items() if year in window]
+    empty = frozenset()
+    return {key: sum(len(author_index.get(key, empty) & ids) for ids in years)
             for key in keys.authors.values}
 
 

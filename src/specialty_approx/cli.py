@@ -30,13 +30,17 @@ written without it.  Then ``run.finish()`` adds ``manifest.json``
 if anything was written, checks every target, moves the outputs into
 ``--out`` with the manifest last, and prints each warning once.  A run
 that fails leaves ``--out`` as it found it: a failed move puts back the
-files it had already replaced.  Primary outputs are
+files it had already replaced.  Lenient ``ingest`` (without
+``--strict``) is the one command that exits 2 with its outputs written:
+when it rejects lines, it still writes ``ingest_report.json``, which
+lists them, and ``manifest.json``.  Primary outputs are
 byte-deterministic for identical inputs and flags; the manifest embeds
 the wall time and is not.
 
 Exit codes: 0 success; 1 pipeline failure on valid input (empty seed,
 unsatisfiable threshold, ...); 2 unusable input (unreadable file,
-malformed corpus line, duplicate id, bad flag value, mismatched run).
+malformed corpus line, duplicate id, bad flag value, mismatched run),
+also from a lenient ``ingest`` that rejected lines and wrote its report.
 """
 
 from __future__ import annotations

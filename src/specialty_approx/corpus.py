@@ -4,10 +4,20 @@ A corpus is a set of publication records, each carrying the four fields the
 pipeline works with: a cell (the publication's combination of subject
 categories), a title, an author list, and a list of cited reference ids.
 Records arrive as JSON lines.  :func:`parse_record` checks each decoded
-line's JSON shapes and builds a compact, immutable :class:`Publication`,
-whose constructor checks the record's invariants, so every schema rule is
-written once.  :meth:`Corpus.from_publications` then fills the
-six per-field inverted indexes in one pass over the publications.
+line's JSON shapes, runs the record rules of the :class:`Publication`
+constructor in field order, and builds a compact, immutable
+:class:`Publication`, so every schema rule is written once and runs once
+per line.  :meth:`Corpus.from_publications` then fills the six per-field
+inverted indexes in one pass over the publications.
+
+The same pass builds the title-word forward index, so that counting a
+set of publications' title words reads small ints and tokenizes nothing.
+It holds each publication's distinct words, of every length, as ids into
+one word table (``Corpus.title_words``), in a flat ``array("I")``
+(``title_word_ids``) cut by an offsets array (``title_offsets``), both
+in arrival order, plus ``arrival``, each row's arrival index.  On the
+100k-record benchmark corpus that is 1,086,485 word ids of 4,008 words:
+4.3 MB of ids and 0.4 MB each of offsets and arrival indexes.
 
 Every publication also gets a row: its place in sorted-id order.  A set
 of publications can then be held as a row bitset, a Python int whose
@@ -33,11 +43,12 @@ import json
 import re
 import sys
 import unicodedata
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -190,10 +201,15 @@ def tokenize_title(title: str, min_len: int = 1) -> frozenset[str]:
     or it does not; multiplicity never matters downstream.  Tokens are
     interned, so a word is one string object however many titles hold it.
     """
-    tokens = _TOKEN.findall(title.lower())
+    tokens = _title_words(title)
     if min_len > 1:
         tokens = [t for t in tokens if len(t) >= min_len]
     return frozenset(map(sys.intern, tokens))
+
+
+def _title_words(title: str) -> list[str]:
+    """The lowercase words of a title, in order and with repeats."""
+    return _TOKEN.findall(title.lower())
 
 
 def is_doi_like(reference: str) -> bool:
@@ -221,6 +237,21 @@ def _check_categories(categories: tuple[str, ...]) -> None:
         raise ValueError("subject category contains '|'")
 
 
+def _check_references(pub_id: str, references: Collection[str]) -> None:
+    if pub_id in references:
+        raise ValueError("publication references itself")
+
+
+def _check_reprint(reprint_author: int | None,
+                   authors: tuple[AuthorName, ...]) -> None:
+    if reprint_author is not None:
+        if not authors:
+            raise ValueError("reprint author given but author list empty")
+        if not 0 <= reprint_author < len(authors):
+            raise ValueError(
+                f"reprint author index {reprint_author} out of range")
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Publication:
     """One immutable publication record, stored compactly.
@@ -228,12 +259,14 @@ class Publication:
     The constructor checks the record's invariants (an int year, a
     non-empty set of non-empty categories without ``|``, no
     self-citation, a reprint index within the author list) and raises
-    ``ValueError`` otherwise.  It keeps each field once, in its smallest
-    shared form: the cached :class:`CellId` of the category set (which
-    holds the sorted, deduplicated categories), the authors with their
-    interned keys, and the distinct references as a sorted tuple, so that
-    equality and hashing over the stored fields treat references as a
-    set.  ``subject_categories``, ``references``, ``title_tokens``,
+    ``ValueError`` otherwise; :func:`parse_record` runs the same rules in
+    field order and then stores the fields without running them again.
+    It keeps each field once, in its smallest shared form: the cached
+    :class:`CellId` of the category set (which holds the sorted,
+    deduplicated categories), the authors with their interned keys, and
+    the distinct references as a sorted tuple, so that equality and
+    hashing over the stored fields treat references as a set.
+    ``subject_categories``, ``references``, ``title_tokens``,
     ``author_keys``, ``doi_references`` and ``reprint_author_key`` are
     computed from those when read, so no record holds a set of its own.
     """
@@ -257,15 +290,16 @@ class Publication:
         categories = tuple(subject_categories)
         _check_categories(categories)
         refs = tuple(sorted(set(references)))
-        if pub_id in refs:
-            raise ValueError("publication references itself")
+        _check_references(pub_id, refs)
         authors = tuple(authors)
-        if reprint_author is not None:
-            if not authors:
-                raise ValueError("reprint author given but author list empty")
-            if not 0 <= reprint_author < len(authors):
-                raise ValueError(
-                    f"reprint author index {reprint_author} out of range")
+        _check_reprint(reprint_author, authors)
+        self._fill(pub_id, year, doc_type, source_id, categories, title,
+                   authors, reprint_author, refs)
+
+    def _fill(self, pub_id, year, doc_type, source_id, categories, title,
+              authors, reprint_author, refs) -> None:
+        """Store checked fields: ``categories`` and ``authors`` as tuples,
+        ``refs`` sorted and distinct."""
         init = object.__setattr__
         init(self, "pub_id", pub_id)
         init(self, "year", year)
@@ -372,15 +406,14 @@ _REQUIRED_KEYS = (
 
 
 def parse_record(obj: dict, line_no: int = 0) -> Publication:
-    """Check one decoded JSON object's shapes and build its :class:`Publication`.
+    """Check one decoded JSON object and build its :class:`Publication`.
 
-    This checks the JSON shapes: the keys, the value types, lone
-    surrogates and empty references; the :class:`Publication`
-    constructor checks the record's invariants.  The year and category
-    rules are also called here, at their place in field order, so that a
-    line with several faults reports the first of them.  Unknown keys are
-    ignored.  Every violation raises :class:`SchemaError` carrying
-    ``line_no``.
+    This checks the JSON shapes (the keys, the value types, lone
+    surrogates and empty references) and runs the
+    :class:`Publication` constructor's rules, each at its place in field
+    order, so that a line with several faults reports the first of them
+    and each rule runs once.  Unknown keys are ignored.  Every violation
+    raises :class:`SchemaError` carrying ``line_no``.
     """
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "record is not a JSON object")
@@ -391,7 +424,8 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     pub_id = obj["id"]
     if not isinstance(pub_id, str) or not pub_id:
         raise SchemaError(line_no, "'id' must be a non-empty string")
-    _apply(_check_year, obj["year"], line_no)
+    year = obj["year"]
+    _apply(line_no, _check_year, year)
     for key in ("id", "doc_type", "source_id", "title"):
         text = obj[key]
         if not isinstance(text, str):
@@ -401,7 +435,7 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
 
     categories = tuple(_parse_str_list(obj["subject_categories"], line_no,
                                        "subject_categories"))
-    _apply(_check_categories, categories, line_no)
+    _apply(line_no, _check_categories, categories)
 
     authors = _parse_authors(obj["authors"], line_no)
 
@@ -413,27 +447,21 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     references = _parse_str_list(obj["references"], line_no, "references")
     if "" in references:
         raise SchemaError(line_no, "'references' contains an empty string")
+    refs = tuple(sorted(set(references)))
+    _apply(line_no, _check_references, pub_id, refs)
+    _apply(line_no, _check_reprint, reprint, authors)
 
+    pub = object.__new__(Publication)
+    pub._fill(pub_id, year, DocType.from_label(obj["doc_type"]),
+              sys.intern(str.__str__(obj["source_id"])), categories,
+              obj["title"], authors, reprint, refs)
+    return pub
+
+
+def _apply(line_no: int, rule, *values) -> None:
+    """Run one of the constructor's rules on raw values, as a SchemaError."""
     try:
-        return Publication(
-            pub_id=pub_id,
-            year=obj["year"],
-            doc_type=DocType.from_label(obj["doc_type"]),
-            source_id=sys.intern(str.__str__(obj["source_id"])),
-            subject_categories=categories,
-            title=obj["title"],
-            authors=authors,
-            reprint_author=reprint,
-            references=references,
-        )
-    except ValueError as exc:
-        raise SchemaError(line_no, str(exc)) from exc
-
-
-def _apply(rule, value, line_no: int) -> None:
-    """Run one of the constructor's rules on a raw value, as a SchemaError."""
-    try:
-        rule(value)
+        rule(*values)
     except ValueError as exc:
         raise SchemaError(line_no, str(exc)) from exc
 
@@ -487,6 +515,12 @@ class Corpus:
     [pid].cell.key]`` for every publication.  ``row_ids`` lists the ids
     in sorted order and ``rows`` maps each id to its place there;
     ``bitsets`` maps every dense index posting to its row bitset.
+
+    The title-word forward index holds each publication's distinct title
+    words (of any length) as ids into ``title_words``: those of the
+    publication that arrived ``a``-th are
+    ``title_word_ids[title_offsets[a]:title_offsets[a + 1]]``, and
+    ``arrival[row]`` is the arrival index of each row.
     """
 
     publications: Mapping[str, Publication]
@@ -499,6 +533,10 @@ class Corpus:
     row_ids: tuple[str, ...]
     rows: Mapping[str, int]
     bitsets: Mapping[frozenset[str], int]
+    title_words: tuple[str, ...]
+    title_word_ids: array
+    title_offsets: array
+    arrival: array
     ingest_report: IngestReport | None = None
 
     def __len__(self) -> int:
@@ -534,6 +572,17 @@ class Corpus:
         """The ids of the rows set in ``bits``, in row order, so sorted."""
         return ids_of_rows(bits, self.row_ids)
 
+    def title_word_counts(self, ids: Collection[str]) -> dict[str, int]:
+        """Title word -> number of the publications ``ids``, all corpus
+        ids, whose titles hold it; words of every length, counted over the
+        forward index as small ints."""
+        word_ids, starts = self.title_word_ids, self.title_offsets
+        counts = Counter(chain.from_iterable(
+            word_ids[starts[a]:starts[a + 1]]
+            for a in map(self.arrival.__getitem__, self.rows_of(ids))))
+        words = self.title_words
+        return {words[w]: n for w, n in counts.items()}
+
     @classmethod
     def from_publications(
         cls,
@@ -542,24 +591,32 @@ class Corpus:
     ) -> "Corpus":
         """Index a publication stream.  Raises :class:`DuplicatePubId`.
 
-        One pass over the publications fills all six indexes.  Postings
-        are gathered in lists (each field value of a publication is
-        distinct, so no list repeats an id), and each list becomes a
-        frozenset once, freed as it goes; a dense one also gets its row
-        bitset.
+        One pass over the publications, in arrival order, fills all six
+        indexes and the title-word forward index.  Postings are gathered
+        in lists (each field value of a publication is distinct, so no
+        list repeats an id), and each list becomes a frozenset once, freed
+        as it goes; a dense one also gets its row bitset.  One sort of the
+        ids gives the rows and each row's arrival index.
         """
         pubs: dict[str, Publication] = {}
         lists = {name: defaultdict(list) for name in _INDEX_NAMES}
         by_cell, by_word, by_author, by_reprint, by_reference, by_year = (
             lists.values())
+        word_id = defaultdict(count().__next__)   # a new word, the next id
+        title_word_ids = array("I")
+        title_offsets = array("I", (0,))
         for pub in publications:
             pid = pub.pub_id
             if pid in pubs:
                 raise DuplicatePubId(pid)
             pubs[pid] = pub
             by_cell[pub.cell.key].append(pid)
-            for word in pub.title_tokens:
+            words = dict.fromkeys(map(word_id.__getitem__,
+                                      _title_words(pub.title)))
+            for word in words:
                 by_word[word].append(pid)
+            title_word_ids.extend(words)
+            title_offsets.append(len(title_word_ids))
             for key in pub.author_keys:
                 by_author[key].append(pid)
             if pub.reprint_author is not None:
@@ -567,7 +624,16 @@ class Corpus:
             for ref in pub._references:
                 by_reference[ref].append(pid)
             by_year[pub.year].append(pid)
-        row_ids = tuple(sorted(pubs))
+        # title-word postings were gathered by word id
+        title_words = tuple(map(sys.intern, word_id))
+        lists["by_title_word"] = {title_words[word]: ids
+                                  for word, ids in by_word.items()}
+        del by_word
+        arrived = list(pubs)
+        arrival = array("I", sorted(range(len(arrived)),
+                                    key=arrived.__getitem__))
+        row_ids = tuple(map(arrived.__getitem__, arrival))
+        del arrived
         rows = dict(zip(row_ids, range(len(row_ids))))
         bitsets: dict[frozenset[str], int] = {}
         indexes = {}
@@ -579,7 +645,20 @@ class Corpus:
                 if _DENSE_SHARE * len(ids) >= len(row_ids):
                     bitsets[posting] = _bitset_of(ids, rows)
         return cls(publications=pubs, row_ids=row_ids, rows=rows,
-                   bitsets=bitsets, ingest_report=ingest_report, **indexes)
+                   bitsets=bitsets, title_words=title_words,
+                   title_word_ids=title_word_ids, title_offsets=title_offsets,
+                   arrival=arrival, ingest_report=ingest_report,
+                   **indexes)
+
+
+def reference_counts(pubs: Iterable[Publication],
+                     doi_only: bool) -> Counter[str]:
+    """Reference -> number of ``pubs`` citing it, counted over each
+    record's stored distinct references; only the DOI-like ones when
+    ``doi_only``."""
+    references = chain.from_iterable(pub._references for pub in pubs)
+    return Counter(filter(is_doi_like, references) if doi_only
+                   else references)
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
@@ -625,7 +704,7 @@ def ingest(path: str | Path, strict: bool = False) -> Corpus:
     could change every downstream count.
 
     Each line is decoded, then :func:`parse_record` checks its shapes and
-    the :class:`Publication` constructor its invariants;
+    the :class:`Publication` constructor's invariants;
     :meth:`Corpus.from_publications` then indexes the accepted records
     in one pass.  The records are compact and share what they can: one
     cell per category set, one author name per raw name, and interned

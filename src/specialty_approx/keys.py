@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import (Callable, Collection, Iterable, Iterator, Mapping,
                     Sequence)
 
-from .corpus import Corpus, Publication, tokenize_title
+from .corpus import Corpus, Publication, reference_counts, tokenize_title
 from .errors import EmptySeed, InvalidConfig, Unsatisfiable, UnknownPubId
 from .seed import SeedRecord
 
@@ -69,6 +69,10 @@ class FieldSpec:
     threshold attributes, a publication's values, the corpus index they
     are posted in (under a resolved author scope), and the selected
     values a publication needs to be covered.
+
+    ``count`` gives a seed's value counts from what the corpus already
+    stores, where that is cheaper than a :class:`~collections.Counter`
+    over ``values``; it must count exactly the publications' ``values``.
     """
 
     attr: str
@@ -76,6 +80,18 @@ class FieldSpec:
     values: Callable[[Publication, "KeysConfig"], frozenset[str]]
     index: Callable[[Corpus, AuthorScope], Mapping[str, frozenset[str]]]
     required: Callable[["KeysConfig"], int] = lambda config: 1
+    count: Callable[[Corpus, Sequence[Publication], "KeysConfig"],
+                    Mapping[str, int]] | None = None
+
+
+def _title_word_counts(corpus: Corpus, pubs: Sequence[Publication],
+                       config: "KeysConfig") -> dict[str, int]:
+    """The title words of ``min_word_len`` or more characters, counted
+    over the corpus's forward index.  A title is a set of words, so
+    dropping the shorter words after counting changes no kept count."""
+    counts = corpus.title_word_counts([pub.pub_id for pub in pubs])
+    return {word: n for word, n in counts.items()
+            if len(word) >= config.min_word_len}
 
 
 # in canonical field order: cell, title word, author, reference
@@ -89,7 +105,8 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         values=lambda pub, config: tokenize_title(pub.title,
                                                   config.min_word_len),
         index=lambda corpus, scope: corpus.by_title_word,
-        required=lambda config: config.required_title_words),
+        required=lambda config: config.required_title_words,
+        count=_title_word_counts),
     FieldKind.AUTHOR: FieldSpec(
         "authors", "threshold_author",
         values=lambda pub, config: in_scope_author_keys(
@@ -102,7 +119,9 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         values=lambda pub, config: (pub.doi_references
                                     if config.doi_only_references
                                     else pub.references),
-        index=lambda corpus, scope: corpus.by_reference),
+        index=lambda corpus, scope: corpus.by_reference,
+        count=lambda corpus, pubs, config: reference_counts(
+            pubs, config.doi_only_references)),
 })
 FIELD_ORDER: tuple[FieldKind, ...] = tuple(FIELD_SPECS)
 
@@ -221,11 +240,15 @@ def _resolve_seed(
 
 
 def _value_counts(
-    pubs: Sequence[Publication], config: KeysConfig, field: FieldKind
-) -> Counter[str]:
+    corpus: Corpus, pubs: Sequence[Publication], config: KeysConfig,
+    field: FieldKind,
+) -> Mapping[str, int]:
     """Value -> number of ``pubs`` carrying it, in one pass."""
-    values = FIELD_SPECS[field].values
-    return Counter(chain.from_iterable(values(pub, config) for pub in pubs))
+    spec = FIELD_SPECS[field]
+    if spec.count is not None:
+        return spec.count(corpus, pubs, config)
+    return Counter(chain.from_iterable(spec.values(pub, config)
+                                       for pub in pubs))
 
 
 def field_frequencies(
@@ -241,7 +264,7 @@ def field_frequencies(
     counting rule.
     """
     pubs, config = _resolve_seed(corpus, seed.all_ids, config)
-    return dict(_value_counts(pubs, config, field))
+    return dict(_value_counts(corpus, pubs, config, field))
 
 
 @dataclass(frozen=True)
@@ -326,13 +349,14 @@ def _select(
 ) -> KeyValueSet:
     """:func:`select_key_values` on a resolved seed and config.
 
-    The values are counted in one pass over ``pubs`` and grouped into
-    frequency batches; only an admitted value's seed publications are
-    looked up, as its corpus posting within ``seed_ids``.
+    The values are counted in one pass and grouped into frequency
+    batches; only an admitted value's seed publications are looked up,
+    as its corpus posting within ``seed_ids``, and credited a whole set
+    at a time.
     """
     threshold = config.threshold_for(field)
     required = config.required_hits(field)
-    counts = _value_counts(pubs, config, field)
+    counts = _value_counts(corpus, pubs, config, field)
 
     eligible: Collection[str] = counts
     if field is FieldKind.AUTHOR:
@@ -346,17 +370,22 @@ def _select(
 
     index = FIELD_SPECS[field].index(corpus, config.author_scope)
     n = len(pubs)
-    hit_counts: dict[str, int] = defaultdict(int)
+    # levels[j]: the seed publications more than j admitted values hit,
+    # below required; none when fewer values are eligible than required
+    levels = ([set() for _ in range(required)]
+              if required <= len(eligible) else [])
     covered = 0
     entries: list[KeyValueEntry] = []
     reached = False
     # frequencies descending, values ascending within a tie batch
     for freq in sorted(batches, reverse=True):
         for value in sorted(batches[freq]):
-            for pid in index[value] & seed_ids:
-                hit_counts[pid] += 1
-                if hit_counts[pid] == required:
-                    covered += 1
+            if levels:
+                hits = index[value] & seed_ids
+                for j in range(len(levels) - 1, 0, -1):
+                    levels[j] |= levels[j - 1] & hits
+                levels[0] |= hits
+                covered = len(levels[-1])
             entries.append(KeyValueEntry(value, freq, covered / n))
         if covered / n >= threshold:
             reached = True
@@ -380,13 +409,22 @@ def _select(
 
 @dataclass(frozen=True)
 class KeyValueSets:
-    """The four per-field selections plus the resolved config they used."""
+    """The four per-field selections plus the resolved config they used.
+
+    ``corpus`` is the corpus the values were selected on, or ``None`` for
+    sets made by hand; :func:`~specialty_approx.approx.covered_rows`
+    keeps its result on that corpus in ``covered_rows``.
+    """
 
     cells: KeyValueSet
     title_words: KeyValueSet
     authors: KeyValueSet
     references: KeyValueSet
     config: KeysConfig
+    corpus: Corpus | None = dataclasses.field(
+        default=None, repr=False, compare=False)
+    covered_rows: dict[FieldKind, int] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def per_field(self, field: FieldKind) -> KeyValueSet:
         return getattr(self, FIELD_SPECS[field].attr)
@@ -427,7 +465,7 @@ def compute_all_keys(
     """
     seed_ids = seed.all_ids
     pubs, config = _resolve_seed(corpus, seed_ids, config)
-    return KeyValueSets(config=config, **{
+    return KeyValueSets(config=config, corpus=corpus, **{
         spec.attr: _select(corpus, seed_ids, pubs, config, field)
         for field, spec in FIELD_SPECS.items()
     })

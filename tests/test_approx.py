@@ -18,12 +18,15 @@ from specialty_approx import (
     rederive_key_values, seed_coverage_histogram, select_key_values,
     write_approximation_csv,
 )
+from specialty_approx import approx as approx_mod
 from specialty_approx.approx import (APPROX_CSV_COLUMNS, covered_rows,
                                      key_author_match_counts, region_rows)
 from specialty_approx.errors import (
     EmptyApproximation, EmptyWindow, InvalidConfig, OutOfRange, Unsatisfiable,
 )
 from specialty_approx.keys import FIELD_SPECS, KeyValueEntry, KeyValueSet
+from specialty_approx.syngen import (GeneratorConfig, SpecialtyParams,
+                                     build_records)
 from test_corpus import minimal_record
 
 # the 16 flag masks, sorted
@@ -463,6 +466,64 @@ def test_seed_coverage_histogram_fractions():
     assert sorted(histogram) == [0, 1, 2, 3, 4]
     assert sum(histogram.values()) == pytest.approx(1.0, abs=1e-12)
     assert histogram[4] == pytest.approx(2 / 3)   # s1, s2 covered everywhere
+
+
+def _pair_keys():
+    """A small two-specialty corpus, a 40-id seed and its selected keys."""
+    spec = dict(n_publications=300, internal_reference_fraction=0.1,
+                reprint_author_rule="none")
+    records, truth = build_records(GeneratorConfig(
+        rng_seed=21, specialties=(SpecialtyParams(label="alpha", **spec),
+                                  SpecialtyParams(label="beta", **spec)),
+        cross_contamination=0.1))
+    corpus = records_to_corpus(records)
+    window = YearWindow(2010, 2012)
+    ids = sorted(pid for pid, label in truth.labels.items()
+                 if label == "alpha"
+                 and corpus.publications[pid].year in window)
+    seed = build_seed_record(corpus, ids[:40])
+    return records, corpus, seed, compute_all_keys(corpus, seed), window
+
+
+def test_covered_rows_runs_once_per_key_set_on_its_corpus(monkeypatch):
+    _, corpus, seed, keys, window = _pair_keys()
+    calls = []
+    engine = approx_mod._held_by_at_least
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(approx_mod, "_held_by_at_least", counted)
+    seed_coverage_histogram(corpus, seed, keys)
+    assert len(calls) == len(FIELD_ORDER)
+    build_approximation(corpus, keys, window, 3)
+    assert len(calls) == len(FIELD_ORDER) + 1   # the window's years alone
+    covered = covered_rows(corpus, keys)
+    covered.clear()   # each caller gets its own dict
+    assert covered_rows(corpus, keys) == keys.covered_rows != {}
+    assert len(calls) == len(FIELD_ORDER) + 1
+
+    # keys made by hand carry no corpus, so nothing is kept on them
+    by_hand = KeyValueSets(**{spec.attr: keys.per_field(field)
+                              for field, spec in FIELD_SPECS.items()},
+                           config=keys.config)
+    assert covered_rows(corpus, by_hand) == covered_rows(corpus, keys)
+    assert covered_rows(corpus, by_hand) == covered_rows(corpus, keys)
+    assert len(calls) == 3 * len(FIELD_ORDER) + 1
+
+
+def test_keys_asked_about_another_corpus_recompute():
+    records, corpus, seed, keys, window = _pair_keys()
+    on_corpus = covered_rows(corpus, keys)
+    other = records_to_corpus(records[::2])
+    fresh = covered_rows(other, dataclasses.replace(keys, corpus=None))
+    assert fresh != on_corpus   # the rows differ
+    assert covered_rows(other, keys) == fresh
+    assert region_rows(other, keys, other.bitset(other.row_ids)) == \
+        region_rows(other, dataclasses.replace(keys, corpus=None),
+                    other.bitset(other.row_ids))
+    assert covered_rows(corpus, keys) == on_corpus
 
 
 # ----------------------------------------------------------------- rederive

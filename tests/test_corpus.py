@@ -5,6 +5,8 @@ import itertools
 import json
 import pickle
 import tempfile
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,10 @@ from conftest import make_random_records, records_to_corpus
 from oracles import (oracle_author_key, oracle_is_doi, oracle_tokens,
                      record_field_values)
 from specialty_approx import (
-    AuthorName, AuthorScope, CellId, Corpus, DocType, GeneratorConfig,
-    KeysConfig, Publication, SpecialtyParams, derive_cell,
-    ingest, is_doi_like, normalize_author_key, parse_record, tokenize_title,
+    AuthorName, AuthorScope, CellId, Corpus, DocType, FieldKind,
+    GeneratorConfig, KeysConfig, Publication, SeedRecord, SpecialtyParams,
+    derive_cell, field_frequencies, ingest, is_doi_like, normalize_author_key,
+    parse_record, tokenize_title,
 )
 from specialty_approx.keys import FIELD_SPECS
 from specialty_approx.syngen import build_records
@@ -372,6 +375,41 @@ def test_every_record_field_values_match_the_oracle(tmp_path):
                     scope=scope.value, doi_only=doi_only)
                 assert spec.values(pub, keys_config) == expected, \
                     (record["id"], field, scope, min_word_len, doi_only)
+
+
+_TITLE_EDGE_RECORDS = [
+    minimal_record(id="t-no-token", title="!!! -- ... ?"),
+    minimal_record(id="t-repeated", title="Graph graph GRAPH, graph."),
+    minimal_record(id="t-non-ascii",
+                   title="\u00d6lfeld na\u00efve Stra\u00dfe \u00fcber"),
+    minimal_record(id="t-short", title="an of to at b"),
+]
+
+
+def test_title_word_forward_index_counts_as_tokenize_title():
+    config = GeneratorConfig(
+        rng_seed=14,
+        specialties=(SpecialtyParams(label="alpha", n_publications=200),))
+    records = [*build_records(config)[0],
+               *make_random_records(np.random.default_rng(15), 60),
+               *_TITLE_EDGE_RECORDS]
+    corpus = records_to_corpus(records)
+    ids = [record["id"] for record in records]
+    for pid in ids:   # each publication's distinct words, once each
+        assert corpus.title_word_counts([pid]) == dict.fromkeys(
+            tokenize_title(corpus.publications[pid].title), 1), pid
+
+    for min_word_len in range(1, 9):
+        keys_config = KeysConfig(min_word_len=min_word_len)
+        for group in (ids, ids[::3], [r["id"] for r in _TITLE_EDGE_RECORDS]):
+            seed = SeedRecord(initial_ids=frozenset(group),
+                              extended_ids=frozenset(),
+                              unresolved_references=frozenset())
+            expected = Counter(chain.from_iterable(
+                tokenize_title(corpus.publications[pid].title, min_word_len)
+                for pid in group))
+            assert field_frequencies(corpus, seed, FieldKind.TITLE_WORD,
+                                     keys_config) == expected, min_word_len
 
 
 # -------------------------------------------------------------------- corpus
