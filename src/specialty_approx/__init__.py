@@ -34,7 +34,7 @@ from .errors import (CorpusInputError, DuplicatePubId, EmptyApproximation,
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
                    FieldSpec, KeysConfig, KeyValueEntry, KeyValueSet,
                    KeyValueSets, compute_all_keys, field_frequencies,
-                   homonym_surnames, select_key_values, write_key_values_csv)
+                   select_key_values, write_key_values_csv)
 from .seed import (Provenance, SeedRecord, build_seed_record, write_seed_csv)
 from .syngen import (GeneratorConfig, GroundTruth, SpecialtyParams,
                      build_records, evaluate_recovery, generate,
@@ -59,9 +59,8 @@ __all__ = [
     "build_seed_record", "compute_all_keys", "conflicted_author_keys",
     "coverage_of_record_by_keys", "coverage_profile",
     "derive_cell", "evaluate_recovery", "expected_inclusion_probability",
-    "expected_inclusion_rate", "field_frequencies",
-    "generate", "homonym_surnames", "ingest", "is_doi_like",
-    "mutual_coverage", "normalize_author_key", "parse_record",
+    "expected_inclusion_rate", "field_frequencies", "generate", "ingest",
+    "is_doi_like", "mutual_coverage", "normalize_author_key", "parse_record",
     "rank_authors", "rederive_key_values", "seed_coverage_histogram",
     "select_key_values", "tokenize_title", "write_approximation_csv",
     "write_corpus", "write_key_values_csv", "write_rankings_csv",

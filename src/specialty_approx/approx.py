@@ -351,7 +351,7 @@ def build_approximation(
                       if sum(flags) >= min_fields}
     members = reduce(or_, member_regions.values(), 0)
     return SpecialtyApproximation(
-        member_ids=tuple(corpus.ids_of(members)),
+        member_ids=tuple(ids_of_rows(members, corpus.row_ids)),
         window=window,
         min_fields=min_fields,
         n_in_window=in_window.bit_count(),

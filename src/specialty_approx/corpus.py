@@ -23,7 +23,7 @@ Every publication also gets a row: its place in sorted-id order.  A set
 of publications can then be held as a row bitset, a Python int whose
 binary numeral, ``len(corpus)`` digits wide, has a ``1`` for each member
 row in row order (:func:`bitset_from_digits` and :meth:`Corpus.bitset`
-build one, :meth:`Corpus.ids_of` reads one back, in id order).  Every
+build one, :func:`ids_of_rows` reads one back, in id order).  Every
 posting that holds at least a 64th of the corpus is dense and also gets
 its bitset, at most about a sixth of the size of the frozenset it
 shadows; set algebra over dense postings is ``&``, ``|`` and
@@ -567,10 +567,6 @@ class Corpus:
         if unknown:
             raise UnknownPubId(min(unknown))
         return _bitset_of(ids, self.rows)
-
-    def ids_of(self, bits: int) -> list[str]:
-        """The ids of the rows set in ``bits``, in row order, so sorted."""
-        return ids_of_rows(bits, self.row_ids)
 
     def title_word_counts(self, ids: Collection[str]) -> dict[str, int]:
         """Title word -> number of the publications ``ids``, all corpus

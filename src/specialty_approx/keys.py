@@ -66,22 +66,21 @@ REPRINT_AUTO_MIN_SHARE = 0.9
 @dataclass(frozen=True)
 class FieldSpec:
     """One field: its :class:`KeyValueSets` and :class:`KeysConfig`
-    threshold attributes, a publication's values, the corpus index they
-    are posted in (under a resolved author scope), and the selected
-    values a publication needs to be covered.
+    threshold attributes, a publication's values, a seed's value counts,
+    the corpus index the values are posted in (under a resolved author
+    scope), and the selected values a publication needs to be covered.
 
-    ``count`` gives a seed's value counts from what the corpus already
-    stores, where that is cheaper than a :class:`~collections.Counter`
-    over ``values``; it must count exactly the publications' ``values``.
+    ``count`` must count exactly the publications' ``values``; it reads
+    what the corpus already stores where that is cheaper.
     """
 
     attr: str
     threshold: str
     values: Callable[[Publication, "KeysConfig"], frozenset[str]]
+    count: Callable[[Corpus, Sequence[Publication], "KeysConfig"],
+                    Mapping[str, int]]
     index: Callable[[Corpus, AuthorScope], Mapping[str, frozenset[str]]]
     required: Callable[["KeysConfig"], int] = lambda config: 1
-    count: Callable[[Corpus, Sequence[Publication], "KeysConfig"],
-                    Mapping[str, int]] | None = None
 
 
 def _title_word_counts(corpus: Corpus, pubs: Sequence[Publication],
@@ -99,18 +98,22 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
     FieldKind.CELL: FieldSpec(
         "cells", "threshold_cell",
         values=lambda pub, config: frozenset((pub.cell.key,)),
+        count=lambda corpus, pubs, config: Counter(
+            pub.cell.key for pub in pubs),
         index=lambda corpus, scope: corpus.by_cell),
     FieldKind.TITLE_WORD: FieldSpec(
         "title_words", "threshold_title",
         values=lambda pub, config: tokenize_title(pub.title,
                                                   config.min_word_len),
+        count=_title_word_counts,
         index=lambda corpus, scope: corpus.by_title_word,
-        required=lambda config: config.required_title_words,
-        count=_title_word_counts),
+        required=lambda config: config.required_title_words),
     FieldKind.AUTHOR: FieldSpec(
         "authors", "threshold_author",
         values=lambda pub, config: in_scope_author_keys(
             pub, config.author_scope),
+        count=lambda corpus, pubs, config: Counter(chain.from_iterable(
+            in_scope_author_keys(pub, config.author_scope) for pub in pubs)),
         index=lambda corpus, scope: (
             corpus.by_reprint_author_key
             if scope is AuthorScope.REPRINT_ONLY else corpus.by_author_key)),
@@ -119,9 +122,9 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         values=lambda pub, config: (pub.doi_references
                                     if config.doi_only_references
                                     else pub.references),
-        index=lambda corpus, scope: corpus.by_reference,
         count=lambda corpus, pubs, config: reference_counts(
-            pubs, config.doi_only_references)),
+            pubs, config.doi_only_references),
+        index=lambda corpus, scope: corpus.by_reference),
 })
 FIELD_ORDER: tuple[FieldKind, ...] = tuple(FIELD_SPECS)
 
@@ -162,10 +165,6 @@ class KeysConfig:
     def threshold_for(self, field: FieldKind) -> float:
         return getattr(self, FIELD_SPECS[field].threshold)
 
-    def required_hits(self, field: FieldKind) -> int:
-        """Selected values a publication needs to be covered in ``field``."""
-        return FIELD_SPECS[field].required(self)
-
     def resolved_for_seed(self, pubs: Sequence[Publication]) -> "KeysConfig":
         """Pin AUTO author scope for a concrete seed (no-op otherwise)."""
         if self.author_scope is not AuthorScope.AUTO:
@@ -204,22 +203,9 @@ def in_scope_author_keys(pub: Publication, scope: AuthorScope) -> frozenset[str]
     raise InvalidConfig("author scope AUTO is unresolved; resolve per seed first")
 
 
-def homonym_surnames(
-    pubs: Iterable[Publication], scope: AuthorScope
-) -> frozenset[str]:
-    """Surnames appearing with more than one first initial, in scope.
-
-    Such names are ambiguous person identities; they lose key-author
-    candidacy (they still match during coverage checks if some selected
-    key happens to share the string, which cannot occur since homonym
-    keys are never selected).
-    """
-    return homonyms_among(
-        {key for pub in pubs for key in in_scope_author_keys(pub, scope)})
-
-
 def homonyms_among(author_keys: Iterable[str]) -> frozenset[str]:
-    """The surnames that two or more of the distinct ``author_keys`` carry."""
+    """The surnames that two or more of the distinct ``author_keys``
+    carry: ambiguous identities, whose keys lose key-author candidacy."""
     per_surname = Counter(key.rpartition(" ")[0] for key in author_keys)
     return frozenset(s for s, n in per_surname.items() if n > 1)
 
@@ -239,18 +225,6 @@ def _resolve_seed(
     return pubs, (config or KeysConfig()).resolved_for_seed(pubs)
 
 
-def _value_counts(
-    corpus: Corpus, pubs: Sequence[Publication], config: KeysConfig,
-    field: FieldKind,
-) -> Mapping[str, int]:
-    """Value -> number of ``pubs`` carrying it, in one pass."""
-    spec = FIELD_SPECS[field]
-    if spec.count is not None:
-        return spec.count(corpus, pubs, config)
-    return Counter(chain.from_iterable(spec.values(pub, config)
-                                       for pub in pubs))
-
-
 def field_frequencies(
     corpus: Corpus,
     seed: SeedRecord,
@@ -264,7 +238,7 @@ def field_frequencies(
     counting rule.
     """
     pubs, config = _resolve_seed(corpus, seed.all_ids, config)
-    return dict(_value_counts(corpus, pubs, config, field))
+    return dict(FIELD_SPECS[field].count(corpus, pubs, config))
 
 
 @dataclass(frozen=True)
@@ -354,9 +328,10 @@ def _select(
     as its corpus posting within ``seed_ids``, and credited a whole set
     at a time.
     """
+    spec = FIELD_SPECS[field]
     threshold = config.threshold_for(field)
-    required = config.required_hits(field)
-    counts = _value_counts(corpus, pubs, config, field)
+    required = spec.required(config)
+    counts = spec.count(corpus, pubs, config)
 
     eligible: Collection[str] = counts
     if field is FieldKind.AUTHOR:
@@ -368,7 +343,7 @@ def _select(
     for value in eligible:
         batches[counts[value]].append(value)
 
-    index = FIELD_SPECS[field].index(corpus, config.author_scope)
+    index = spec.index(corpus, config.author_scope)
     n = len(pubs)
     # levels[j]: the seed publications more than j admitted values hit,
     # below required; none when fewer values are eligible than required

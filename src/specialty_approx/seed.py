@@ -13,9 +13,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .corpus import Corpus, DocType
+from .corpus import Corpus
 from .errors import EmptyInitialSet, UnknownPubId
 
 
@@ -70,7 +70,6 @@ def build_seed_record(
     corpus: Corpus,
     initial_ids: Iterable[str],
     extend: bool = True,
-    doc_types: Collection[DocType] | None = None,
 ) -> SeedRecord:
     """Resolve initial ids and optionally extend one hop via references.
 
@@ -87,9 +86,6 @@ def build_seed_record(
         resolved against the corpus and the hits join the seed.  The hop
         is taken exactly once: references of added publications are not
         followed.
-    doc_types
-        Optional allowlist restricting which document types may join via
-        extension.  Never filters the initial set.
     """
     initial = frozenset(initial_ids)
     if not initial:
@@ -101,18 +97,12 @@ def build_seed_record(
     added: set[str] = set()
     unresolved: set[str] = set()
     if extend:
-        allowed = frozenset(doc_types) if doc_types is not None else None
         for pid in initial:
             for ref in corpus.publications[pid].references:
-                target = corpus.publications.get(ref)
-                if target is None:
+                if ref not in corpus:
                     unresolved.add(ref)
-                    continue
-                if target.pub_id in initial:
-                    continue
-                if allowed is not None and target.doc_type not in allowed:
-                    continue
-                added.add(target.pub_id)
+                elif ref not in initial:
+                    added.add(ref)
 
     return SeedRecord(
         initial_ids=initial,

@@ -85,16 +85,16 @@ class SpecialtyParams:
     def __post_init__(self):
         _require(bool(_LABEL_RE.match(self.label)),
                  f"label must be lowercase alphanumeric, got {self.label!r}")
-        _require(self.n_publications >= 1, "n_publications must be >= 1")
-        _require(self.n_core_cells >= 1, "n_core_cells must be >= 1")
+        for name, low in (("n_publications", 1), ("n_core_cells", 1),
+                          ("vocab_size", 10), ("n_authors", 1),
+                          ("n_reference_targets", 1)):
+            n = getattr(self, name)
+            _require(type(n) is int and low <= n < 2**63,
+                     f"{name} must be an int in [{low}, 2**63), got {n!r}")
         _require(0 < self.cell_concentration < 1,
                  "cell_concentration must lie in (0, 1)")
-        _require(self.vocab_size >= 10, "vocab_size must be >= 10")
         _require(self.zipf_exponent > 0, "zipf_exponent must be positive")
-        _require(self.n_authors >= 1, "n_authors must be >= 1")
         _require(self.lotka_exponent > 0, "lotka_exponent must be positive")
-        _require(self.n_reference_targets >= 1,
-                 "n_reference_targets must be >= 1")
         _require(self.reference_skew_exponent >= 0,
                  "reference_skew_exponent must be >= 0")
         for name in ("title_length", "refs_per_pub", "authors_per_pub",
@@ -105,6 +105,9 @@ class SpecialtyParams:
             object.__setattr__(self, name, (int(pair[0]), int(pair[1])))
             lo, hi = getattr(self, name)
             _require(lo <= hi, f"{name}: low {lo} exceeds high {hi}")
+            # numpy draws from the pair as int64
+            _require(-2**63 <= lo and hi < 2**63,
+                     f"{name} must lie within int64, got {(lo, hi)}")
         _require(self.title_length[0] >= 1, "title_length low must be >= 1")
         _require(self.refs_per_pub[0] >= 0, "refs_per_pub low must be >= 0")
         _require(self.authors_per_pub[0] >= 0,
@@ -132,6 +135,8 @@ class GeneratorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "specialties", tuple(self.specialties))
+        _require(self.rng_seed >= 0,
+                 f"rng_seed must be >= 0, got {self.rng_seed}")
         _require(len(self.specialties) >= 1, "at least one specialty required")
         labels = [sp.label for sp in self.specialties]
         _require(len(set(labels)) == len(labels),

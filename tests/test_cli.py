@@ -1,15 +1,19 @@
 """End-to-end command-line tests (each command run as a subprocess)."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
+import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -287,6 +291,60 @@ def test_evaluate_command(workspace):
     assert payload["target"] == "alpha"
 
 
+# ---------------------------------------------- cross-command consistency
+
+def read_csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_coverage_of_the_seed_matches_the_seed_histogram(workspace, tmp_path):
+    run = workspace["run"]
+    summary = json.loads((run / "summary.json").read_text())
+    min_fields = summary["approximation"]["min_fields"]
+    seed_ids = [row["pub_id"] for row in read_csv_rows(run / "seed.csv")]
+    ids_path = tmp_path / "seed_ids.txt"
+    ids_path.write_text("\n".join(seed_ids) + "\n", encoding="utf-8")
+    result = run_cli("coverage", str(workspace["corpus"]), "--run", str(run),
+                     "--ids", str(ids_path))
+    assert result.returncode == 0, result.stderr
+    coverage = json.loads(result.stdout)
+    assert coverage["min_fields"] == min_fields
+    assert coverage["record_size"] == len(seed_ids)
+    histogram = summary["seed_coverage_histogram"]
+    share = sum(histogram[str(k)] for k in range(min_fields, 5))
+    # the two shares are summed in different orders, so compare counts
+    assert round(coverage["covered_share"] * len(seed_ids)) == \
+        round(share * len(seed_ids))
+
+
+def test_approximation_csv_counts_are_the_member_bins(workspace):
+    run = workspace["run"]
+    approximation = json.loads(
+        (run / "summary.json").read_text())["approximation"]
+    counts = Counter(int(row["count"])
+                     for row in read_csv_rows(run / "approximation.csv"))
+    min_fields = approximation["min_fields"]
+    assert set(counts) <= set(range(min_fields, 5))
+    assert {k: counts[k] for k in range(min_fields, 5)} == \
+        {k: approximation["histogram"][str(k)] for k in range(min_fields, 5)}
+
+
+def test_ranked_counts_are_member_publications(workspace, tmp_path):
+    run = workspace["run"]
+    result = run_cli("reviewers", str(workspace["corpus"]), "--run", str(run),
+                     "--out", str(tmp_path / "reviewers"))
+    assert result.returncode == 0, result.stderr
+    members = {row["pub_id"]
+               for row in read_csv_rows(run / "approximation.csv")}
+    by_author_key = ingest(workspace["corpus"]).by_author_key
+    rows = read_csv_rows(tmp_path / "reviewers" / "rankings.csv")
+    assert rows
+    for row in rows:
+        assert int(row["publication_count"]) == \
+            len(by_author_key[row["author_key"]] & members), row
+
+
 def test_readme_command_examples_parse():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1]
@@ -513,6 +571,30 @@ def test_every_export_resolves_once():
     namespace = {}
     exec("from specialty_approx import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+# exported names that nothing outside their definition uses, each with
+# the reason it stays exported
+UNUSED_EXPORTS = {
+    "field_frequencies": "the public raw frequency table; the forward-index "
+                         "test in test_corpus.py checks the counts by it",
+}
+
+
+def test_every_export_has_a_use_outside_its_definition():
+    sources = [*ROOT.glob("src/specialty_approx/*.py"),
+               *ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py"),
+               ROOT / "README.md"]
+    texts = [path.read_text(encoding="utf-8") for path in sources
+             if path.name != "__init__.py"]
+    unused = set()
+    for name in specialty_approx.__all__:
+        definition = re.compile(
+            rf"^[ \t]*(?:def|class)[ \t]+{name}\b|^{name}[ \t]*[:=]", re.M)
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(definition.sub("", text)) for text in texts):
+            unused.add(name)
+    assert unused == set(UNUSED_EXPORTS)
 
 
 # -------------------------------------------------------------- exit codes
@@ -965,3 +1047,161 @@ def test_fuzzed_corpus_lines_ingest_cleanly(items, strict):
             assert code == (2 if report["rejected"] else 0)
             assert report["accepted"] + len(report["rejected"]) == \
                 report["total_lines"]
+
+
+# ------------------------------------------- generator configs numpy rejects
+
+def one_specialty_config(rng_seed=1, **params):
+    return {"rng_seed": rng_seed,
+            "specialties": [{"label": "a", "n_publications": 5, **params}]}
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(one_specialty_config(title_length=[1, 1e30]),
+                 id="pair-bound-beyond-int64"),
+    pytest.param(one_specialty_config(rng_seed=-1), id="negative-rng-seed"),
+    pytest.param(one_specialty_config(year_range=[2000, 1e20]),
+                 id="year-beyond-int64"),
+    pytest.param(one_specialty_config(n_core_cells=2.5), id="float-count"),
+    pytest.param(one_specialty_config(n_reference_targets=7.0),
+                 id="integral-float-count"),
+    pytest.param(one_specialty_config(n_publications=True), id="bool-count"),
+])
+def test_generate_config_numpy_cannot_draw_exits_2(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    result = run_cli("generate", "--config", str(path), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert sum("error:" in line for line in result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+    assert list(out.iterdir()) == []
+
+
+# ------------------------------------------ fuzzed ids, truth and configs
+
+def main_fails_cleanly(argv, out: Path) -> int:
+    """Run ``cli.main(argv)`` into a new, empty ``out``; check the exit
+    code, the single ``error:`` line and that a failed run left ``out``
+    empty."""
+    out.mkdir()
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", str(out)])
+    finally:
+        gc.unfreeze()   # main's corpus load froze the heap
+    assert code in (0, 1, 2)
+    lines = stderr.getvalue().splitlines()
+    assert sum("error:" in line for line in lines) <= 1
+    if code:
+        assert list(out.iterdir()) == []
+    return code
+
+
+# ids of the workspace corpus (150 per label) and some just past its end
+WORKSPACE_IDS = st.builds("{}p{:06d}".format,
+                          st.sampled_from(["alpha", "beta"]),
+                          st.integers(0, 160))
+ODD_LINES = st.sampled_from([b"", b"  ", b"# comment", b"\0", b"a\0b", b"\xff",
+                             b"\xc3", b"\xed\xa0\x80", b"alphap000001 # x",
+                             b"\r", b"[" * 1000])
+ID_LINES = st.lists(WORKSPACE_IDS.map(str.encode)
+                    | st.text(max_size=8).map(str.encode) | ODD_LINES,
+                    max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=ID_LINES, command=st.sampled_from(["approx", "coverage"]),
+       as_directory=st.booleans())
+def test_fuzzed_ids_file_fails_cleanly(workspace, lines, command,
+                                       as_directory):
+    with tempfile.TemporaryDirectory() as tmp:
+        ids = Path(tmp) / "ids.txt"
+        if as_directory:
+            ids.mkdir()
+        else:
+            ids.write_bytes(b"\n".join(lines))
+        where = (["--window", WINDOW] if command == "approx"
+                 else ["--run", str(workspace["run"])])
+        main_fails_cleanly([command, str(workspace["corpus"]), *where,
+                            "--ids", str(ids)], Path(tmp) / "out")
+
+
+LABEL_LINES = st.builds(
+    lambda pid, label: json.dumps({"id": pid, "specialty": label}).encode(),
+    WORKSPACE_IDS, st.sampled_from(["alpha", "beta", "gamma"]))
+TRUTH_LINES = st.lists(
+    LABEL_LINES | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+    | ODD_LINES | st.just(b"[" * 100_000) | st.just(b"{not json"),
+    max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines=TRUTH_LINES, labeled=st.booleans())
+def test_fuzzed_truth_file_fails_cleanly(workspace, lines, labeled):
+    with tempfile.TemporaryDirectory() as tmp:
+        truth = Path(tmp) / "truth.jsonl"
+        # the whole workspace truth first, so that some files label
+        # every member and the damage is in the added lines alone
+        head = workspace["truth"].read_bytes() if labeled else b""
+        truth.write_bytes(head + b"\n".join(lines))
+        main_fails_cleanly(["evaluate", str(workspace["corpus"]), "--run",
+                            str(workspace["run"]), "--truth", str(truth),
+                            "--target", "alpha"], Path(tmp) / "out")
+
+
+# An accepted size is at most 50: a count must be an int, and every value
+# drawn here that int() turns into an int lies in -5..50 or at 2**63 and
+# above.  A larger accepted size would generate a larger corpus.
+SIZES = st.integers(-5, 50) | st.integers(2**63, 2**70)
+NON_INTS = (st.none() | st.booleans() | st.floats(-5, 50)
+            | st.sampled_from([math.nan, math.inf, -math.inf, 1e19, 1e300,
+                               "7", " -3 ", "1" * 20, "x", "", "2.5"])
+            | st.lists(st.integers(0, 3), max_size=2)
+            | st.dictionaries(st.just("k"), st.none(), max_size=1))
+PAIRS = st.lists(SIZES | NON_INTS, max_size=3) | SIZES | NON_INTS
+SHARES = st.floats() | NON_INTS
+SPECIALTY_EDITS = {
+    **{name: SIZES | NON_INTS for name in (
+        "n_publications", "n_core_cells", "vocab_size", "n_authors",
+        "n_reference_targets")},
+    **{name: PAIRS for name in (
+        "title_length", "refs_per_pub", "authors_per_pub", "year_range")},
+    **{name: SHARES for name in (
+        "cell_concentration", "zipf_exponent", "lotka_exponent",
+        "reference_skew_exponent", "internal_reference_fraction")},
+    "label": st.text(max_size=3) | NON_INTS,
+    "reprint_author_rule": st.sampled_from(["first", "random", "x"])
+                           | NON_INTS,
+    "unknown": NON_INTS,
+}
+SMALL_SPECIALTY = {"n_publications": 20, "n_core_cells": 3, "vocab_size": 20,
+                   "n_authors": 20, "n_reference_targets": 20}
+
+
+# at most two edits, so that some configs still generate
+EDITS = st.lists(st.sampled_from(sorted(SPECIALTY_EDITS)).flatmap(
+    lambda name: st.tuples(st.just(name), SPECIALTY_EDITS[name])),
+    max_size=2).map(dict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=EDITS,
+       rng_seed=st.integers(0, 50) | SIZES | NON_INTS
+       | st.integers(-2**70, -1),
+       contamination=st.none() | SHARES)
+def test_fuzzed_generator_config_fails_cleanly(edits, rng_seed,
+                                               contamination):
+    config = {"rng_seed": rng_seed, "specialties": [
+        {"label": "a", **SMALL_SPECIALTY, **edits},
+        {"label": "b", **SMALL_SPECIALTY}]}
+    if contamination is not None:
+        config["cross_contamination"] = contamination
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        main_fails_cleanly(["generate", "--config", str(path)],
+                           Path(tmp) / "out")

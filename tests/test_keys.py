@@ -7,12 +7,12 @@ from conftest import make_random_records, records_to_corpus
 from oracles import greedy_select, resolve_scope
 from specialty_approx import (
     AuthorScope, FieldKind, KeysConfig, build_seed_record, compute_all_keys,
-    field_frequencies, homonym_surnames, select_key_values,
+    field_frequencies, select_key_values,
 )
 from specialty_approx.errors import EmptySeed, InvalidConfig, Unsatisfiable
 from specialty_approx.keys import (
-    FIELD_ORDER, FIELD_SPECS, KEY_CSV_COLUMNS, in_scope_author_keys,
-    write_key_values_csv,
+    FIELD_ORDER, FIELD_SPECS, KEY_CSV_COLUMNS, homonyms_among,
+    in_scope_author_keys, write_key_values_csv,
 )
 from test_corpus import minimal_record
 
@@ -115,14 +115,18 @@ def homonym_corpus():
 def test_homonym_detection_all_authors():
     corpus = homonym_corpus()
     pubs = list(corpus)
-    assert homonym_surnames(pubs, AuthorScope.ALL_AUTHORS) == {"WEISS"}
+    scope = AuthorScope.ALL_AUTHORS
+    assert homonyms_among(
+        {k for p in pubs for k in in_scope_author_keys(p, scope)}) == {"WEISS"}
 
 
 def test_homonym_detection_respects_scope():
     # in reprint scope, WEISS appears only with initial A -> not a homonym
     corpus = homonym_corpus()
     pubs = list(corpus)
-    assert homonym_surnames(pubs, AuthorScope.REPRINT_ONLY) == frozenset()
+    scope = AuthorScope.REPRINT_ONLY
+    assert homonyms_among(
+        {k for p in pubs for k in in_scope_author_keys(p, scope)}) == set()
 
 
 def test_homonyms_are_excluded_from_candidacy_and_counted():

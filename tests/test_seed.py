@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
-    DocType, Provenance, SeedRecord, build_seed_record, write_seed_csv,
+    Provenance, SeedRecord, build_seed_record, write_seed_csv,
 )
 from specialty_approx.errors import EmptyInitialSet, UnknownPubId
 from specialty_approx.seed import SEED_CSV_COLUMNS
@@ -54,17 +54,6 @@ def test_unknown_initial_id_raises():
 def test_empty_initial_set_raises():
     with pytest.raises(EmptyInitialSet):
         build_seed_record(chain_corpus(), [])
-
-
-def test_doc_type_allowlist_restricts_extension_only():
-    corpus = records_to_corpus([
-        minimal_record(id="a", doc_type="Letter", references=["b", "c"]),
-        minimal_record(id="b", doc_type="Review"),
-        minimal_record(id="c", doc_type="Article"),
-    ])
-    record = build_seed_record(corpus, ["a"], doc_types={DocType.ARTICLE})
-    assert record.initial_ids == {"a"}            # initials are never filtered
-    assert record.extended_ids == {"c"}           # the Review is barred
 
 
 def test_provenance_and_container_protocol():

@@ -70,6 +70,30 @@ def test_generator_config_round_trips_and_loads(tmp_path):
         GeneratorConfig.from_dict({"rng_seed": 3})
 
 
+def test_config_values_numpy_cannot_draw_are_rejected():
+    for count in (2.5, 7.0, True, "7", 2**63):
+        with pytest.raises(InvalidConfig):
+            small_params(n_core_cells=count)
+    for pair in ((1, 2**63), (-2**63 - 1, 2)):
+        with pytest.raises(InvalidConfig):
+            small_params(year_range=pair)
+    with pytest.raises(InvalidConfig):
+        small_config(rng_seed=-1)
+
+
+def test_lenient_config_values_still_load_as_before():
+    # int() has always read these; the int64 checks keep them
+    canonical = small_config(rng_seed=7, title_length=(2, 3)).to_dict()
+    spec = canonical["specialties"][0]
+    for lenient in ({"rng_seed": "7"}, {"rng_seed": 7.9},
+                    {"specialties": [{**spec, "title_length": [2.5, 3]}]}):
+        assert GeneratorConfig.from_dict({**canonical, **lenient}) == \
+            GeneratorConfig.from_dict(canonical)
+    assert small_params(authors_per_pub=[True, 2]).authors_per_pub == (1, 2)
+    assert small_params(year_range=(-2**63, 2**63 - 1)).year_range == \
+        (-2**63, 2**63 - 1)
+
+
 # -------------------------------------------------------------- determinism
 
 def test_build_records_is_deterministic():
