@@ -16,7 +16,6 @@ the share covered in enough fields is read off
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -27,7 +26,7 @@ from .corpus import Corpus, normalize_author_key
 from .errors import (EmptyApproximation, EmptyRecord, InvalidConfig,
                      OutOfRange)
 from .keys import (AuthorScope, FieldKind, KeyValueSet, KeyValueSets,
-                   homonyms_among, in_scope_author_keys)
+                   homonyms_among, in_scope_authors)
 from .seed import SeedRecord
 
 
@@ -86,10 +85,9 @@ def conflicted_author_keys(
     the window.  The focal author is not their own conflict.
     """
     conflicted: set[str] = set()
-    for pid in corpus.by_author_key.get(focal_key, frozenset()):
-        pub = corpus.publications[pid]
-        if pub.year in window:
-            conflicted.update(pub.author_keys)
+    for row in corpus.by_author_key.rows.get(focal_key, ()):
+        if corpus.year[row] in window:
+            conflicted.update(corpus.author.values_of(row))
     conflicted.discard(focal_key)
     return frozenset(conflicted)
 
@@ -99,12 +97,13 @@ def _table_from_approximation(
     corpus: Corpus,
     scope: AuthorScope,
 ) -> tuple[dict[str, int], frozenset[str]]:
-    """Candidate counts over member publications, plus homonym surnames."""
-    table: dict[str, int] = defaultdict(int)
-    for pid in approximation.member_ids:
-        for key in in_scope_author_keys(corpus.publications[pid], scope):
-            table[key] += 1
-    return dict(table), homonyms_among(table)
+    """Candidate counts over member publications, plus homonym surnames;
+    counted over the corpus's author forward index."""
+    authors = in_scope_authors(corpus, scope)
+    keys = authors.values
+    table = {keys[author]: n for author, n in authors.count(
+        corpus.rows_of(approximation.member_ids)).items()}
+    return table, homonyms_among(table)
 
 
 def rank_authors(

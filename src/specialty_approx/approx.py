@@ -33,7 +33,7 @@ from itertools import product
 from operator import and_, or_
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, bitset_from_digits, ids_of_rows
+from .corpus import Corpus, Postings, bitset_from_digits, ids_of_rows
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
@@ -224,36 +224,35 @@ def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
     kept = keys.corpus is corpus
     if kept and keys.covered_rows:
         return dict(keys.covered_rows)
-    covered = {}
-    for field, spec in FIELD_SPECS.items():
-        index = spec.index(corpus, config.author_scope)
-        postings = [index.get(value, frozenset())
-                    for value in keys.per_field(field).values]
-        covered[field] = _held_by_at_least(corpus, postings,
-                                           spec.required(config))
+    covered = {
+        field: _held_by_at_least(
+            corpus, spec.index(corpus, config.author_scope),
+            keys.per_field(field).values, spec.required(config))
+        for field, spec in FIELD_SPECS.items()}
     if kept:
         keys.covered_rows.update(covered)
     return covered
 
 
-def _held_by_at_least(corpus: Corpus, postings: list[frozenset[str]],
-                      required: int) -> int:
-    """The rows that at least ``required`` of ``postings`` hold.
+def _held_by_at_least(corpus: Corpus, index: Postings,
+                      values: Sequence, required: int) -> int:
+    """The rows that at least ``required`` of the postings of ``values``
+    in ``index`` hold; a value absent from ``index`` holds no row.
 
     ``levels[j]`` holds the rows hit by at least ``j`` postings so far
     (``levels[0]`` every row), up to ``required``.  A dense posting
     folds in with ``&`` and ``|`` on its bitset; the sparse ones are
-    counted per row through the row map, in one byte per row.
+    counted per row, in one byte per row.
     """
     n = len(corpus.row_ids)
-    if not n or required > len(postings):   # no row is hit that often
+    if not n or required > len(values):   # no row is hit that often
         return 0
     levels = [(1 << n) - 1]
     sparse = []
-    for posting in postings:
-        bits = corpus.bitsets.get(posting)
+    for value in values:
+        bits = index.bits.get(value)
         if bits is None:
-            sparse.append(posting)
+            sparse.append(index.rows.get(value, ()))
         else:
             levels = _fold(levels, (bits,), required)
     # a byte counts at most 255 hits: beyond that, count in batches
@@ -264,7 +263,7 @@ def _held_by_at_least(corpus: Corpus, postings: list[frozenset[str]],
     return levels[required] if required < len(levels) else 0
 
 
-def _count_levels(corpus: Corpus, postings: list[frozenset[str]],
+def _count_levels(corpus: Corpus, postings: list[Sequence[int]],
                   required: int) -> list[int]:
     """Hit levels 1..min(required, len(postings)) of the postings.
 
@@ -275,7 +274,7 @@ def _count_levels(corpus: Corpus, postings: list[frozenset[str]],
     counts = bytearray(len(corpus.row_ids))
     step = bytes(min(v + 1, top) for v in range(256))
     for posting in postings:
-        for row in corpus.rows_of(posting):
+        for row in posting:
             counts[row] = step[counts[row]]
     # b"1" where a count reaches k: the level's binary digits
     return [bitset_from_digits(counts.translate(b"0" * k + b"1" * (256 - k)))
@@ -343,8 +342,7 @@ def build_approximation(
     """
     if not 1 <= min_fields <= 4:
         raise OutOfRange(f"min_fields must lie in 1..4, got {min_fields}")
-    years = [ids for year, ids in corpus.by_year.items() if year in window]
-    in_window = _held_by_at_least(corpus, years, 1)
+    in_window = window_rows(corpus, window)
     regions = region_rows(corpus, keys, in_window)
 
     member_regions = {flags: bits for flags, bits in regions.items()
@@ -364,6 +362,13 @@ def build_approximation(
     )
 
 
+def window_rows(corpus: Corpus, window: YearWindow) -> int:
+    """The row bitset of the publications inside ``window``."""
+    return _held_by_at_least(
+        corpus, corpus.by_year,
+        [year for year in corpus.by_year if year in window], 1)
+
+
 def key_author_match_counts(
     corpus: Corpus,
     keys: KeyValueSets,
@@ -371,15 +376,16 @@ def key_author_match_counts(
 ) -> dict[str, int]:
     """In-window publications carrying each selected key author.
 
-    Counted in the author index of the keys' resolved scope, one posting
-    intersection per key and window year; ``approx`` reports them in
+    Counted over each key's rows in the author postings of the keys'
+    resolved scope, by their year; ``approx`` reports them in
     ``summary.json``.
     """
-    author_index = FIELD_SPECS[FieldKind.AUTHOR].index(
-        corpus, keys.config.author_scope)
-    years = [ids for year, ids in corpus.by_year.items() if year in window]
-    empty = frozenset()
-    return {key: sum(len(author_index.get(key, empty) & ids) for ids in years)
+    author_rows = FIELD_SPECS[FieldKind.AUTHOR].index(
+        corpus, keys.config.author_scope).rows
+    years = corpus.year
+    in_window = {v for v, year in enumerate(years.values) if year in window}
+    return {key: sum(years.ids[row] in in_window
+                     for row in author_rows.get(key, ()))
             for key in keys.authors.values}
 
 
@@ -443,7 +449,7 @@ def write_approximation_csv(
             flags = approximation.member_flags[pid]
             writer.writerow([
                 pid,
-                corpus.publications[pid].year,
+                corpus.year[corpus.rows[pid]],
                 *(int(f) for f in flags),
                 sum(flags),
             ])

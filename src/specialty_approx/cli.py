@@ -364,6 +364,7 @@ def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
 
 def cmd_ingest(run: _Run, args: argparse.Namespace) -> int:
     loaded = corpus_mod.ingest(args.corpus, strict=args.strict)
+    gc.freeze()   # as _load_corpus does: later collections skip the corpus
     run.add_input("corpus", args.corpus)
     report = loaded.ingest_report
     years = sorted(loaded.by_year)

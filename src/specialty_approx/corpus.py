@@ -1,4 +1,4 @@
-"""Bibliographic data model, JSON-lines ingestion, and inverted indexes.
+"""Bibliographic data model, JSON-lines ingestion, and a columnar corpus.
 
 A corpus is a set of publication records, each carrying the four fields the
 pipeline works with: a cell (the publication's combination of subject
@@ -7,33 +7,38 @@ Records arrive as JSON lines.  :func:`parse_record` checks each decoded
 line's JSON shapes, runs the record rules of the :class:`Publication`
 constructor in field order, and builds a compact, immutable
 :class:`Publication`, so every schema rule is written once and runs once
-per line.  :meth:`Corpus.from_publications` then fills the six per-field
-inverted indexes in one pass over the publications.
+per line.  A rule that depends only on a raw author pair or a raw
+category list runs once per distinct raw value: its checked result is
+kept in a dict keyed by that value until :func:`ingest` returns.
 
-The same pass builds the title-word forward index, so that counting a
-set of publications' title words reads small ints and tokenizes nothing.
-It holds each publication's distinct words, of every length, as ids into
-one word table (``Corpus.title_words``), in a flat ``array("I")``
-(``title_word_ids``) cut by an offsets array (``title_offsets``), both
-in arrival order, plus ``arrival``, each row's arrival index.  On the
-100k-record benchmark corpus that is 1,086,485 word ids of 4,008 words:
-4.3 MB of ids and 0.4 MB each of offsets and arrival indexes.
+:meth:`Corpus.from_publications` writes each publication into columns as
+it arrives and keeps no :class:`Publication`.  Every publication gets a
+row, its place in sorted-id order, and every field value an int id into
+the field's value table, handed out by a dict keyed by the value:
 
-Every publication also gets a row: its place in sorted-id order.  A set
-of publications can then be held as a row bitset, a Python int whose
-binary numeral, ``len(corpus)`` digits wide, has a ``1`` for each member
-row in row order (:func:`bitset_from_digits` and :meth:`Corpus.bitset`
-build one, :func:`ids_of_rows` reads one back, in id order).  Every
-posting that holds at least a 64th of the corpus is dense and also gets
-its bitset, at most about a sixth of the size of the frozenset it
-shadows; set algebra over dense postings is ``&``, ``|`` and
-:meth:`int.bit_count`.
+* per-row columns (:class:`Column`) hold the cell, year, document type
+  and source as value ids, and the titles as strings;
+* forward indexes (:class:`ForwardIndex`) hold each row's title words
+  (distinct), authors (in list order, so the reprint index resolves),
+  reprint author (none or one) and references (distinct, sorted), as one
+  flat ``array("I")`` of value ids cut by an offsets array;
+* postings hold, per field value, the sorted rows carrying it as an
+  ``array("I")``.  Every posting that holds at least a 64th of the corpus
+  is dense and also keeps its row bitset, a Python int whose binary
+  numeral, ``len(corpus)`` digits wide, has a ``1`` for each member row in
+  row order; set algebra over dense postings is ``&``, ``|`` and
+  :meth:`int.bit_count`.  This is the array-or-bitmap container split of
+  Roaring bitmaps (Chambi, Lemire, Kaser and Godin, arXiv:1402.6407).
 
-A :class:`Publication` stores each field once, in its smallest shared
-form: one :class:`CellId` per distinct category set, one
-:class:`AuthorName` per raw ``(surname, initials)`` pair, one
-:class:`DocType` per label, and interned strings.  Its set-valued fields
-(title words, author keys, references) are computed when they are read.
+On the 100k-record benchmark corpus the postings hold 3.39 M rows, 13.6
+MB as ``array("I")``, and the forward indexes 1.09 M title-word, 0.35 M
+author and 1.6 M reference ids.
+
+The pipeline asks the columns directly.  What reads like the old object
+model is built on read and not kept: ``corpus.publications`` maps an id to
+an equal :class:`Publication`, iterating in arrival order, and the six
+``by_*`` mappings (:class:`Postings`) map a value to the frozenset of the
+ids carrying it.
 """
 
 from __future__ import annotations
@@ -44,14 +49,15 @@ import re
 import sys
 import unicodedata
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property, lru_cache
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import (Collection, Hashable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from .errors import (DuplicatePubId, EmptyCategorySet, FileUnreadable,
                      SchemaError, UnknownPubId)
@@ -106,22 +112,25 @@ class AuthorName:
     """An author identity reduced to folded surname plus first initial.
 
     Two occurrences are the same author exactly when their keys match;
-    no richer disambiguation is attempted.
+    no richer disambiguation is attempted.  ``key`` is the interned
+    ``"SURNAME F"`` string, made once per name.
     """
 
     surname: str
     first_initial: str
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "key", sys.intern(f"{self.surname} {self.first_initial}"))
 
     @classmethod
-    @cache
     def from_raw(cls, surname: str, initials: str) -> "AuthorName":
         """Build from raw record values.
 
         Initials may carry periods or whitespace ("J.R. " and "JR" agree).
         Raises ``ValueError`` when the surname is empty or no alphabetic
-        initial exists.  Cached until the end of the current
-        :func:`ingest`: every occurrence of a raw pair in a corpus shares
-        one object, and so computes its :attr:`key` once.
+        initial exists.
         """
         folded = _fold_surname(surname)
         if not folded:
@@ -144,14 +153,17 @@ class AuthorName:
             raise ValueError(f"not an author key: {key!r}")
         return cls.from_raw(surname, initial)
 
-    @cached_property
-    def key(self) -> str:
-        return sys.intern(f"{self.surname} {self.first_initial}")
-
 
 def normalize_author_key(raw: str) -> str:
     """Normalize a user-supplied ``"surname initial"`` string to a key."""
     return AuthorName.from_key(raw).key
+
+
+def _name_of_key(key: str) -> AuthorName:
+    """The name whose key is ``key``: its initial is the one character
+    after the last space, and its surname, interned, all before it."""
+    surname, _, initial = key.rpartition(" ")
+    return AuthorName(sys.intern(surname), initial)
 
 
 @dataclass(frozen=True, order=True)
@@ -261,7 +273,7 @@ class Publication:
     self-citation, a reprint index within the author list) and raises
     ``ValueError`` otherwise; :func:`parse_record` runs the same rules in
     field order and then stores the fields without running them again.
-    It keeps each field once, in its smallest shared form: the cached
+    It keeps each field once, in its smallest shared form: the
     :class:`CellId` of the category set (which holds the sorted,
     deduplicated categories), the authors with their interned keys, and
     the distinct references as a sorted tuple, so that equality and
@@ -293,22 +305,23 @@ class Publication:
         _check_references(pub_id, refs)
         authors = tuple(authors)
         _check_reprint(reprint_author, authors)
-        self._fill(pub_id, year, doc_type, source_id, categories, title,
-                   authors, reprint_author, refs)
+        self._fill(pub_id, year, doc_type, source_id, derive_cell(categories),
+                   title, authors, tuple(map(_KEY_OF, authors)),
+                   reprint_author, refs)
 
-    def _fill(self, pub_id, year, doc_type, source_id, categories, title,
-              authors, reprint_author, refs) -> None:
-        """Store checked fields: ``categories`` and ``authors`` as tuples,
-        ``refs`` sorted and distinct."""
+    def _fill(self, pub_id, year, doc_type, source_id, cell, title, authors,
+              author_keys, reprint_author, refs) -> None:
+        """Store checked fields: ``authors`` and their ``author_keys`` as
+        tuples in list order, ``refs`` sorted and distinct."""
         init = object.__setattr__
         init(self, "pub_id", pub_id)
         init(self, "year", year)
         init(self, "doc_type", doc_type)
         init(self, "source_id", source_id)
-        init(self, "cell", derive_cell(categories))
+        init(self, "cell", cell)
         init(self, "title", title)
         init(self, "authors", authors)
-        init(self, "_author_keys", tuple(map(_KEY_OF, authors)))
+        init(self, "_author_keys", author_keys)
         init(self, "reprint_author", reprint_author)
         init(self, "_references", refs)
 
@@ -366,11 +379,25 @@ class IngestReport:
         return not self.rejected
 
 
+# raw JSON values -> their checked, shared value: a raw (surname, initials)
+# pair's AuthorName, a raw category list's CellId.  Emptied when ingest
+# returns or raises.
+_NAME_OF_RAW: dict[tuple, AuthorName] = {}
+_CELL_OF_RAW: dict[tuple, CellId] = {}
+
+
 def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
     if not isinstance(raw, list):
         raise SchemaError(line_no, "'authors' must be a list")
     out = []
     for i, entry in enumerate(raw):
+        try:   # a raw pair seen before passed every rule below
+            name = _NAME_OF_RAW.get((entry["surname"], entry["initials"]))
+        except (KeyError, TypeError):
+            name = None
+        if name is not None:
+            out.append(name)
+            continue
         if not isinstance(entry, dict):
             raise SchemaError(line_no, f"author {i} is not an object")
         surname = entry.get("surname")
@@ -383,10 +410,23 @@ def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
                 and _SURROGATE.search(surname + initials)):
             raise SchemaError(line_no, f"author {i} holds a lone surrogate")
         try:
-            out.append(AuthorName.from_raw(surname, initials))
+            name = AuthorName.from_raw(surname, initials)
         except ValueError as exc:
             raise SchemaError(line_no, f"author {i}: {exc}") from exc
+        out.append(_NAME_OF_RAW.setdefault((surname, initials), name))
     return tuple(out)
+
+
+def _parse_cell(raw, line_no: int) -> CellId:
+    """The cell of a raw category list, checked once per distinct list."""
+    if type(raw) is list:   # a str or dict would pass tuple() too
+        try:
+            return _CELL_OF_RAW[tuple(raw)]
+        except (KeyError, TypeError):
+            pass
+    categories = tuple(_parse_str_list(raw, line_no, "subject_categories"))
+    _apply(line_no, _check_categories, categories)
+    return _CELL_OF_RAW.setdefault(tuple(raw), derive_cell(categories))
 
 
 def _parse_str_list(raw, line_no: int, key: str) -> list[str]:
@@ -403,6 +443,7 @@ _REQUIRED_KEYS = (
     "id", "year", "doc_type", "source_id",
     "subject_categories", "title", "authors", "reprint_author", "references",
 )
+_REQUIRED = frozenset(_REQUIRED_KEYS)
 
 
 def parse_record(obj: dict, line_no: int = 0) -> Publication:
@@ -417,8 +458,8 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     """
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "record is not a JSON object")
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
+    if not _REQUIRED <= obj.keys():
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
         raise SchemaError(line_no, f"missing keys: {', '.join(missing)}")
 
     pub_id = obj["id"]
@@ -433,10 +474,7 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
         if not text.isascii() and _SURROGATE.search(text):
             raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
 
-    categories = tuple(_parse_str_list(obj["subject_categories"], line_no,
-                                       "subject_categories"))
-    _apply(line_no, _check_categories, categories)
-
+    cell = _parse_cell(obj["subject_categories"], line_no)
     authors = _parse_authors(obj["authors"], line_no)
 
     reprint = obj["reprint_author"]
@@ -453,8 +491,9 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
 
     pub = object.__new__(Publication)
     pub._fill(pub_id, year, DocType.from_label(obj["doc_type"]),
-              sys.intern(str.__str__(obj["source_id"])), categories,
-              obj["title"], authors, reprint, refs)
+              sys.intern(str.__str__(obj["source_id"])), cell,
+              obj["title"], authors, tuple(map(_KEY_OF, authors)), reprint,
+              refs)
     return pub
 
 
@@ -466,13 +505,11 @@ def _apply(line_no: int, rule, *values) -> None:
         raise SchemaError(line_no, str(exc)) from exc
 
 
-# the inverted indexes of a Corpus, in the order from_publications fills them
-_INDEX_NAMES = ("by_cell", "by_title_word", "by_author_key",
-                "by_reprint_author_key", "by_reference", "by_year")
-# a posting is dense, and gets a row bitset, from 1/_DENSE_SHARE of the corpus
+# a posting is dense, and keeps a row bitset, from 1/_DENSE_SHARE of the corpus
 _DENSE_SHARE = 64
 # the binary digits of a row bitset as compress selectors: 0 or 1 per row
 _DIGIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+_ONE = re.compile("1")
 
 
 def bitset_from_digits(digits: bytes | bytearray) -> int:
@@ -491,10 +528,16 @@ def ids_of_rows(bits: int, row_ids: Sequence[str]) -> list[str]:
     return list(compress(row_ids, digits.translate(_DIGIT_SELECTORS)))
 
 
-def _bitset_of(ids: Collection[str], rows: Mapping[str, int]) -> int:
-    """The row bitset of ``ids`` under the id -> row map ``rows``."""
-    digits = bytearray(b"0") * len(rows)
-    for row in _rows_of(ids, rows):
+def rows_in(bits: int, n: int) -> list[int]:
+    """The rows set in the bitset ``bits`` over ``n`` rows, ascending."""
+    skipped = n - bits.bit_length()   # the leading zeros format leaves out
+    return [skipped + one.start() for one in _ONE.finditer(format(bits, "b"))]
+
+
+def bitset_of_rows(rows: Iterable[int], n: int) -> int:
+    """The bitset of ``rows`` over ``n`` rows."""
+    digits = bytearray(b"0") * n
+    for row in rows:
         digits[row] = 49   # ord("1")
     return bitset_from_digits(digits)
 
@@ -506,54 +549,199 @@ def _rows_of(ids: Collection[str], rows: Mapping[str, int]) -> Sequence[int]:
     return itemgetter(*ids)(rows)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """An immutable publication collection with per-field inverted indexes.
+class Postings(Mapping):
+    """One inverted index: each field value maps to the frozenset of the
+    ids of the publications carrying it, built on every read and not kept.
 
-    Every index maps a field value to the frozenset of publication ids
-    carrying it; ids round-trip, i.e. ``pid in by_cell[corpus.publications
-    [pid].cell.key]`` for every publication.  ``row_ids`` lists the ids
-    in sorted order and ``rows`` maps each id to its place there;
-    ``bitsets`` maps every dense index posting to its row bitset.
-
-    The title-word forward index holds each publication's distinct title
-    words (of any length) as ids into ``title_words``: those of the
-    publication that arrived ``a``-th are
-    ``title_word_ids[title_offsets[a]:title_offsets[a + 1]]``, and
-    ``arrival[row]`` is the arrival index of each row.
+    The query path reads the two dicts behind it instead: ``rows[value]``
+    is the value's posting as a sorted row array, and ``bits[value]`` the
+    row bitset of a dense one.
     """
 
-    publications: Mapping[str, Publication]
-    by_cell: Mapping[str, frozenset[str]]
-    by_title_word: Mapping[str, frozenset[str]]
-    by_author_key: Mapping[str, frozenset[str]]
-    by_reprint_author_key: Mapping[str, frozenset[str]]
-    by_reference: Mapping[str, frozenset[str]]
-    by_year: Mapping[int, frozenset[str]]
-    row_ids: tuple[str, ...]
-    rows: Mapping[str, int]
-    bitsets: Mapping[frozenset[str], int]
-    title_words: tuple[str, ...]
-    title_word_ids: array
-    title_offsets: array
-    arrival: array
-    ingest_report: IngestReport | None = None
+    __slots__ = ("rows", "bits", "_row_ids")
+
+    def __init__(self, rows: dict[Hashable, array], bits: dict[Hashable, int],
+                 row_ids: Sequence[str]):
+        self.rows = rows
+        self.bits = bits
+        self._row_ids = row_ids
+
+    def __getitem__(self, value) -> frozenset[str]:
+        return frozenset(map(self._row_ids.__getitem__, self.rows[value]))
+
+    def __iter__(self) -> Iterator:
+        return iter(self.rows)
 
     def __len__(self) -> int:
-        return len(self.publications)
+        return len(self.rows)
+
+    def __contains__(self, value) -> bool:
+        return value in self.rows
+
+
+@dataclass(frozen=True, slots=True)
+class Column:
+    """One value per row: row ``r`` holds ``values[ids[r]]``."""
+
+    values: tuple
+    ids: array
+
+    def __getitem__(self, row: int):
+        return self.values[self.ids[row]]
+
+    def count(self, rows: Iterable[int]) -> Counter[int]:
+        """Value id -> number of ``rows`` holding the value."""
+        return Counter(map(self.ids.__getitem__, rows))
+
+
+@dataclass(frozen=True, slots=True)
+class ForwardIndex:
+    """Values per row: row ``r`` holds the values whose ids are
+    ``ids[offsets[r]:offsets[r + 1]]``, in the table ``values``.
+
+    ``distinct`` is true when no row holds a value twice.
+    """
+
+    values: tuple
+    ids: array
+    offsets: array
+    distinct: bool = True
+
+    def ids_of(self, row: int) -> array:
+        return self.ids[self.offsets[row]:self.offsets[row + 1]]
+
+    def values_of(self, row: int) -> tuple:
+        return tuple(map(self.values.__getitem__, self.ids_of(row)))
+
+    def count(self, rows: Iterable[int]) -> Counter[int]:
+        """Value id -> number of ``rows`` holding the value, each row once."""
+        ids, offsets = self.ids, self.offsets
+        held = (ids[offsets[row]:offsets[row + 1]] for row in rows)
+        if not self.distinct:
+            held = map(dict.fromkeys, held)
+        return Counter(chain.from_iterable(held))
+
+
+class _Publications(Mapping):
+    """Publication id -> an equal :class:`Publication`, built on read, in
+    arrival order."""
+
+    __slots__ = ("_corpus",)
+
+    def __init__(self, corpus: "Corpus"):
+        self._corpus = corpus
+
+    def __getitem__(self, pub_id: str) -> Publication:
+        return self._corpus.publication(self._corpus.rows[pub_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._corpus.row_ids.__getitem__, self._corpus.arrival)
+
+    def __len__(self) -> int:
+        return len(self._corpus.row_ids)
+
+    def __contains__(self, pub_id) -> bool:
+        return pub_id in self._corpus.rows
+
+
+class _Interner(dict):
+    """Value -> id, numbering new values from 0; ``postings[id]`` is there
+    to gather the arrival indexes of the value's publications."""
+
+    def __init__(self):
+        super().__init__()
+        self.postings: list[array] = []
+
+    def __missing__(self, value) -> int:
+        self[value] = new = len(self.postings)
+        self.postings.append(array("I"))
+        return new
+
+
+def _forward() -> tuple[array, array]:
+    """An empty forward index's ids and offsets."""
+    return array("I"), array("I", (0,))
+
+
+def _reorder(ids: array, offsets: array,
+             order: Sequence[int]) -> tuple[array, array]:
+    """The forward index whose ``r``-th row is the ``order[r]``-th one."""
+    new_ids, new_offsets = _forward()
+    for old in order:
+        new_ids.extend(ids[offsets[old]:offsets[old + 1]])
+        new_offsets.append(len(new_ids))
+    return new_ids, new_offsets
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Corpus:
+    """An immutable, columnar publication collection.
+
+    ``row_ids`` lists the ids in sorted order and ``rows`` maps each id to
+    its place there, its row; ``arrival`` lists the rows in arrival order.
+    Per row, ``titles`` and the :class:`Column` s ``cell``, ``year``,
+    ``doc_type`` and ``source`` hold one value each; the
+    :class:`ForwardIndex` es ``title_word``, ``author``, ``reprint_author``
+    and ``reference`` hold several, and ``reprint`` holds the reprint
+    author's place in the author list (-1 for none).
+
+    The six ``by_*`` :class:`Postings` are the inverted indexes; ids
+    round-trip, i.e. ``pid in by_cell[corpus.publications[pid].cell.key]``
+    for every publication.
+    """
+
+    row_ids: tuple[str, ...]
+    rows: Mapping[str, int]
+    arrival: Sequence[int]
+    titles: tuple[str, ...]
+    cell: Column
+    year: Column
+    doc_type: Column
+    source: Column
+    title_word: ForwardIndex
+    author: ForwardIndex
+    reprint_author: ForwardIndex
+    reprint: array
+    reference: ForwardIndex
+    by_cell: Postings
+    by_title_word: Postings
+    by_author_key: Postings
+    by_reprint_author_key: Postings
+    by_reference: Postings
+    by_year: Postings
+    ingest_report: IngestReport | None = None
+
+    @property
+    def publications(self) -> Mapping[str, Publication]:
+        """Id -> :class:`Publication`, built on read, in arrival order."""
+        return _Publications(self)
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
 
     def __contains__(self, pub_id: str) -> bool:
-        return pub_id in self.publications
+        return pub_id in self.rows
 
     def __iter__(self) -> Iterator[Publication]:
-        return iter(self.publications.values())
+        return map(self.publication, self.arrival)
+
+    def publication(self, row: int) -> Publication:
+        """The :class:`Publication` of ``row``, built from the columns."""
+        keys = self.author.values_of(row)
+        reprint = self.reprint[row]
+        pub = object.__new__(Publication)
+        pub._fill(self.row_ids[row], self.year[row], self.doc_type[row],
+                  self.source[row], self.cell[row], self.titles[row],
+                  tuple(map(_name_of_key, keys)), keys,
+                  None if reprint < 0 else reprint,
+                  self.reference.values_of(row))
+        return pub
 
     def ids_in_years(self, years: Iterable[int]) -> frozenset[str]:
         """Union of publication ids over the given years."""
-        out: set[str] = set()
-        for y in years:
-            out.update(self.by_year.get(y, ()))
-        return frozenset(out)
+        rows = self.by_year.rows
+        return frozenset(map(self.row_ids.__getitem__, chain.from_iterable(
+            rows[year] for year in set(years) if year in rows)))
 
     def rows_of(self, ids: Collection[str]) -> Sequence[int]:
         """The rows of ``ids``, all corpus ids, in their order."""
@@ -566,18 +754,7 @@ class Corpus:
         unknown = ids.difference(self.rows)
         if unknown:
             raise UnknownPubId(min(unknown))
-        return _bitset_of(ids, self.rows)
-
-    def title_word_counts(self, ids: Collection[str]) -> dict[str, int]:
-        """Title word -> number of the publications ``ids``, all corpus
-        ids, whose titles hold it; words of every length, counted over the
-        forward index as small ints."""
-        word_ids, starts = self.title_word_ids, self.title_offsets
-        counts = Counter(chain.from_iterable(
-            word_ids[starts[a]:starts[a + 1]]
-            for a in map(self.arrival.__getitem__, self.rows_of(ids))))
-        words = self.title_words
-        return {words[w]: n for w, n in counts.items()}
+        return bitset_of_rows(self.rows_of(ids), len(self.row_ids))
 
     @classmethod
     def from_publications(
@@ -585,76 +762,133 @@ class Corpus:
         publications: Iterable[Publication],
         ingest_report: IngestReport | None = None,
     ) -> "Corpus":
-        """Index a publication stream.  Raises :class:`DuplicatePubId`.
+        """Write a publication stream into columns.  Raises
+        :class:`DuplicatePubId`.
 
-        One pass over the publications, in arrival order, fills all six
-        indexes and the title-word forward index.  Postings are gathered
-        in lists (each field value of a publication is distinct, so no
-        list repeats an id), and each list becomes a frozenset once, freed
-        as it goes; a dense one also gets its row bitset.  One sort of the
-        ids gives the rows and each row's arrival index.
+        One pass over the publications, in arrival order, gives every
+        field value an id in its field's table, appends each publication's
+        value ids to the columns and forward indexes and its arrival index
+        to each of its values' postings, and drops the publication.  One
+        sort of the ids then gives the rows; when the ids did not arrive
+        sorted, the columns and postings are put in row order.  Each dense
+        posting also gets its row bitset.
         """
-        pubs: dict[str, Publication] = {}
-        lists = {name: defaultdict(list) for name in _INDEX_NAMES}
-        by_cell, by_word, by_author, by_reprint, by_reference, by_year = (
-            lists.values())
-        word_id = defaultdict(count().__next__)   # a new word, the next id
-        title_word_ids = array("I")
-        title_offsets = array("I", (0,))
-        for pub in publications:
+        arrived: dict[str, None] = {}
+        cells, years, doc_types, sources = (_Interner() for _ in range(4))
+        words, authors, references = _Interner(), _Interner(), _Interner()
+        reprinted: dict[int, array] = {}
+        columns = {name: array("I") for name in
+                   ("cell", "year", "doc_type", "source")}
+        cell_col, year_col, doc_type_col, source_col = columns.values()
+        titles: list[str] = []
+        reprint = array("i")
+        forward = {name: _forward() for name in
+                   ("title_word", "author", "reprint_author", "reference")}
+        (word_ids, word_offsets), (author_ids, author_offsets), \
+            (reprint_ids, reprint_offsets), (ref_ids, ref_offsets) = \
+            forward.values()
+        cell_postings, year_postings = cells.postings, years.postings
+        word_postings, author_postings, ref_postings = (
+            words.postings, authors.postings, references.postings)
+        authors_distinct = True
+        for a, pub in enumerate(publications):
             pid = pub.pub_id
-            if pid in pubs:
+            if pid in arrived:
                 raise DuplicatePubId(pid)
-            pubs[pid] = pub
-            by_cell[pub.cell.key].append(pid)
-            words = dict.fromkeys(map(word_id.__getitem__,
-                                      _title_words(pub.title)))
-            for word in words:
-                by_word[word].append(pid)
-            title_word_ids.extend(words)
-            title_offsets.append(len(title_word_ids))
-            for key in pub.author_keys:
-                by_author[key].append(pid)
-            if pub.reprint_author is not None:
-                by_reprint[pub.reprint_author_key].append(pid)
-            for ref in pub._references:
-                by_reference[ref].append(pid)
-            by_year[pub.year].append(pid)
-        # title-word postings were gathered by word id
-        title_words = tuple(map(sys.intern, word_id))
-        lists["by_title_word"] = {title_words[word]: ids
-                                  for word, ids in by_word.items()}
-        del by_word
-        arrived = list(pubs)
-        arrival = array("I", sorted(range(len(arrived)),
-                                    key=arrived.__getitem__))
-        row_ids = tuple(map(arrived.__getitem__, arrival))
+            arrived[pid] = None
+            v = cells[pub.cell]
+            cell_col.append(v)
+            cell_postings[v].append(a)
+            v = years[pub.year]
+            year_col.append(v)
+            year_postings[v].append(a)
+            doc_type_col.append(doc_types[pub.doc_type])
+            source_col.append(sources[pub.source_id])
+            titles.append(pub.title)
+            held = dict.fromkeys(map(words.__getitem__,
+                                     _title_words(pub.title)))
+            word_ids.extend(held)
+            word_offsets.append(len(word_ids))
+            for v in held:
+                word_postings[v].append(a)
+            named = list(map(authors.__getitem__, pub._author_keys))
+            author_ids.extend(named)
+            author_offsets.append(len(author_ids))
+            held = dict.fromkeys(named)
+            authors_distinct &= len(held) == len(named)
+            for v in held:
+                author_postings[v].append(a)
+            if pub.reprint_author is None:
+                reprint.append(-1)
+            else:
+                reprint.append(pub.reprint_author)
+                v = named[pub.reprint_author]
+                reprint_ids.append(v)
+                if v not in reprinted:
+                    reprinted[v] = array("I")
+                reprinted[v].append(a)
+            reprint_offsets.append(len(reprint_ids))
+            held = list(map(references.__getitem__, pub._references))
+            ref_ids.extend(held)
+            ref_offsets.append(len(ref_ids))
+            for v in held:
+                ref_postings[v].append(a)
+
+        arrived_ids = list(arrived)
         del arrived
-        rows = dict(zip(row_ids, range(len(row_ids))))
-        bitsets: dict[frozenset[str], int] = {}
-        indexes = {}
-        for name, postings in lists.items():
-            index = indexes[name] = {}
-            for value in list(postings):
-                ids = postings.pop(value)
-                posting = index[value] = frozenset(ids)
-                if _DENSE_SHARE * len(ids) >= len(row_ids):
-                    bitsets[posting] = _bitset_of(ids, rows)
-        return cls(publications=pubs, row_ids=row_ids, rows=rows,
-                   bitsets=bitsets, title_words=title_words,
-                   title_word_ids=title_word_ids, title_offsets=title_offsets,
-                   arrival=arrival, ingest_report=ingest_report,
-                   **indexes)
+        n = len(arrived_ids)
+        order = sorted(range(n), key=arrived_ids.__getitem__)
+        row_ids = tuple(map(arrived_ids.__getitem__, order))
+        del arrived_ids
+        sort_rows = order != list(range(n))
+        if sort_rows:   # arrival a becomes row row_of[a]
+            row_of = array("I", sorted(range(n), key=order.__getitem__))
+            for name, column in columns.items():
+                columns[name] = array("I", map(column.__getitem__, order))
+            titles = list(map(titles.__getitem__, order))
+            reprint = array("i", map(reprint.__getitem__, order))
+            for name, (ids, offsets) in forward.items():
+                forward[name] = _reorder(ids, offsets, order)
+        del order
 
+        def postings(keys: Iterable, arrays: Iterable[array]) -> Postings:
+            rows, bits = {}, {}
+            for key, posting in zip(keys, arrays):
+                if sort_rows:
+                    posting = array("I", sorted(map(row_of.__getitem__,
+                                                    posting)))
+                rows[key] = posting
+                if _DENSE_SHARE * len(posting) >= n:
+                    bits[key] = bitset_of_rows(posting, n)
+            return Postings(rows, bits, row_ids)
 
-def reference_counts(pubs: Iterable[Publication],
-                     doi_only: bool) -> Counter[str]:
-    """Reference -> number of ``pubs`` citing it, counted over each
-    record's stored distinct references; only the DOI-like ones when
-    ``doi_only``."""
-    references = chain.from_iterable(pub._references for pub in pubs)
-    return Counter(filter(is_doi_like, references) if doi_only
-                   else references)
+        author_table = tuple(authors)
+        word_table = tuple(map(sys.intern, words))
+        tables = {"cell": tuple(cells), "year": tuple(years),
+                  "doc_type": tuple(doc_types), "source": tuple(sources)}
+        return cls(
+            row_ids=row_ids,
+            rows=dict(zip(row_ids, range(n))),
+            arrival=row_of if sort_rows else range(n),
+            titles=tuple(titles),
+            **{name: Column(tables[name], column)
+               for name, column in columns.items()},
+            title_word=ForwardIndex(word_table, *forward["title_word"]),
+            author=ForwardIndex(author_table, *forward["author"],
+                                distinct=authors_distinct),
+            reprint_author=ForwardIndex(author_table,
+                                        *forward["reprint_author"]),
+            reprint=reprint,
+            reference=ForwardIndex(tuple(references), *forward["reference"]),
+            by_cell=postings(map(_KEY_OF, cells), cells.postings),
+            by_title_word=postings(word_table, words.postings),
+            by_author_key=postings(author_table, authors.postings),
+            by_reprint_author_key=postings(
+                map(author_table.__getitem__, reprinted), reprinted.values()),
+            by_reference=postings(references, references.postings),
+            by_year=postings(years, years.postings),
+            ingest_report=ingest_report,
+        )
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
@@ -690,7 +924,7 @@ def decode_json_line(line: str, line_no: int):
 
 
 def ingest(path: str | Path, strict: bool = False) -> Corpus:
-    """Parse a JSON-lines corpus file into an indexed :class:`Corpus`.
+    """Parse a JSON-lines corpus file into a columnar :class:`Corpus`.
 
     Blank lines are skipped.  Malformed lines (undecodable JSON or schema
     violations) are skipped and reported via ``corpus.ingest_report``
@@ -700,27 +934,23 @@ def ingest(path: str | Path, strict: bool = False) -> Corpus:
     could change every downstream count.
 
     Each line is decoded, then :func:`parse_record` checks its shapes and
-    the :class:`Publication` constructor's invariants;
-    :meth:`Corpus.from_publications` then indexes the accepted records
-    in one pass.  The records are compact and share what they can: one
-    cell per category set, one author name per raw name, and interned
-    title words, author surnames and keys, source ids, subject categories
-    and references, so equal values are one object across publications
-    and index keys.  The name and cell caches that do the sharing are
-    emptied when ingest returns or raises, so they keep nothing alive
+    the :class:`Publication` constructor's invariants, and each accepted
+    record streams straight into :meth:`Corpus.from_publications`, which
+    writes it into columns and keeps no :class:`Publication`.  The dicts
+    that run a rule once per distinct raw author pair and category list
+    are emptied when ingest returns or raises, so they keep nothing alive
     once the corpus is freed.
 
     The cyclic garbage collector is paused while ingest runs and restored
     to its state on entry, also when ingest raises: ingest builds only
-    acyclic, immutable objects, which the collector would otherwise walk
-    again and again.
+    acyclic objects, which the collector would otherwise walk again and
+    again.
     """
-    pubs: dict[str, Publication] = {}
     rejected: list[RejectedLine] = []
     total = 0
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+
+    def accepted() -> Iterator[Publication]:
+        nonlocal total
         for line_no, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
@@ -732,15 +962,18 @@ def ingest(path: str | Path, strict: bool = False) -> Corpus:
                     raise
                 rejected.append(RejectedLine(exc.line_no, exc.reason))
                 continue
-            if pub.pub_id in pubs:
-                raise DuplicatePubId(pub.pub_id)
-            pubs[pub.pub_id] = pub
-        report = IngestReport(
-            total_lines=total, accepted=len(pubs), rejected=tuple(rejected)
-        )
-        return Corpus.from_publications(pubs.values(), ingest_report=report)
+            yield pub
+
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        corpus = Corpus.from_publications(accepted())
+        report = IngestReport(total_lines=total, accepted=len(corpus),
+                              rejected=tuple(rejected))
+        return replace(corpus, ingest_report=report)
     finally:
-        AuthorName.from_raw.cache_clear()
+        _NAME_OF_RAW.clear()
+        _CELL_OF_RAW.clear()
         _cell.cache_clear()
         if collecting:
             gc.enable()

@@ -27,13 +27,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import (Callable, Collection, Iterable, Iterator, Mapping,
                     Sequence)
 
-from .corpus import Corpus, Publication, reference_counts, tokenize_title
+from .corpus import (Corpus, ForwardIndex, Postings, Publication,
+                     bitset_of_rows, is_doi_like, rows_in, tokenize_title)
 from .errors import EmptySeed, InvalidConfig, Unsatisfiable, UnknownPubId
 from .seed import SeedRecord
 
@@ -66,31 +66,56 @@ REPRINT_AUTO_MIN_SHARE = 0.9
 @dataclass(frozen=True)
 class FieldSpec:
     """One field: its :class:`KeyValueSets` and :class:`KeysConfig`
-    threshold attributes, a publication's values, a seed's value counts,
-    the corpus index the values are posted in (under a resolved author
-    scope), and the selected values a publication needs to be covered.
+    threshold attributes, a publication's values, the corpus table the
+    field's value ids index, the value-id counts of a seed's rows, the
+    corpus postings the values are in (under a resolved author scope),
+    and the selected values a publication needs to be covered.
 
-    ``count`` must count exactly the publications' ``values``; it reads
-    what the corpus already stores where that is cheaper.
+    ``count`` must count exactly the ``values`` of the rows'
+    publications, as ids into ``table``; it reads the corpus's columns
+    and builds no :class:`Publication`.
     """
 
     attr: str
     threshold: str
     values: Callable[[Publication, "KeysConfig"], frozenset[str]]
-    count: Callable[[Corpus, Sequence[Publication], "KeysConfig"],
-                    Mapping[str, int]]
-    index: Callable[[Corpus, AuthorScope], Mapping[str, frozenset[str]]]
+    table: Callable[[Corpus], Sequence[str]]
+    count: Callable[[Corpus, Sequence[int], "KeysConfig"], Mapping[int, int]]
+    index: Callable[[Corpus, AuthorScope], Postings]
     required: Callable[["KeysConfig"], int] = lambda config: 1
 
 
-def _title_word_counts(corpus: Corpus, pubs: Sequence[Publication],
-                       config: "KeysConfig") -> dict[str, int]:
-    """The title words of ``min_word_len`` or more characters, counted
-    over the corpus's forward index.  A title is a set of words, so
-    dropping the shorter words after counting changes no kept count."""
-    counts = corpus.title_word_counts([pub.pub_id for pub in pubs])
+def _title_word_counts(corpus: Corpus, rows: Sequence[int],
+                       config: "KeysConfig") -> Mapping[int, int]:
+    """The title words of ``min_word_len`` or more characters.  A title
+    is a set of words, so dropping the shorter words after counting
+    changes no kept count."""
+    counts = corpus.title_word.count(rows)
+    if config.min_word_len == 1:
+        return counts
+    words = corpus.title_word.values
     return {word: n for word, n in counts.items()
-            if len(word) >= config.min_word_len}
+            if len(words[word]) >= config.min_word_len}
+
+
+def _reference_counts(corpus: Corpus, rows: Sequence[int],
+                      config: "KeysConfig") -> Mapping[int, int]:
+    """The references, only the DOI-like ones when ``doi_only_references``;
+    each distinct reference is tested once."""
+    counts = corpus.reference.count(rows)
+    if not config.doi_only_references:
+        return counts
+    refs = corpus.reference.values
+    return {ref: n for ref, n in counts.items() if is_doi_like(refs[ref])}
+
+
+def in_scope_authors(corpus: Corpus, scope: AuthorScope) -> ForwardIndex:
+    """The forward index of the author occurrences ``scope`` considers."""
+    if scope is AuthorScope.ALL_AUTHORS:
+        return corpus.author
+    if scope is AuthorScope.REPRINT_ONLY:
+        return corpus.reprint_author
+    raise InvalidConfig("author scope AUTO is unresolved; resolve per seed first")
 
 
 # in canonical field order: cell, title word, author, reference
@@ -98,13 +123,14 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
     FieldKind.CELL: FieldSpec(
         "cells", "threshold_cell",
         values=lambda pub, config: frozenset((pub.cell.key,)),
-        count=lambda corpus, pubs, config: Counter(
-            pub.cell.key for pub in pubs),
+        table=lambda corpus: [cell.key for cell in corpus.cell.values],
+        count=lambda corpus, rows, config: corpus.cell.count(rows),
         index=lambda corpus, scope: corpus.by_cell),
     FieldKind.TITLE_WORD: FieldSpec(
         "title_words", "threshold_title",
         values=lambda pub, config: tokenize_title(pub.title,
                                                   config.min_word_len),
+        table=lambda corpus: corpus.title_word.values,
         count=_title_word_counts,
         index=lambda corpus, scope: corpus.by_title_word,
         required=lambda config: config.required_title_words),
@@ -112,8 +138,9 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         "authors", "threshold_author",
         values=lambda pub, config: in_scope_author_keys(
             pub, config.author_scope),
-        count=lambda corpus, pubs, config: Counter(chain.from_iterable(
-            in_scope_author_keys(pub, config.author_scope) for pub in pubs)),
+        table=lambda corpus: corpus.author.values,
+        count=lambda corpus, rows, config: in_scope_authors(
+            corpus, config.author_scope).count(rows),
         index=lambda corpus, scope: (
             corpus.by_reprint_author_key
             if scope is AuthorScope.REPRINT_ONLY else corpus.by_author_key)),
@@ -122,8 +149,8 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
         values=lambda pub, config: (pub.doi_references
                                     if config.doi_only_references
                                     else pub.references),
-        count=lambda corpus, pubs, config: reference_counts(
-            pubs, config.doi_only_references),
+        table=lambda corpus: corpus.reference.values,
+        count=_reference_counts,
         index=lambda corpus, scope: corpus.by_reference),
 })
 FIELD_ORDER: tuple[FieldKind, ...] = tuple(FIELD_SPECS)
@@ -167,13 +194,18 @@ class KeysConfig:
 
     def resolved_for_seed(self, pubs: Sequence[Publication]) -> "KeysConfig":
         """Pin AUTO author scope for a concrete seed (no-op otherwise)."""
+        return self._resolved(len(pubs), sum(
+            1 for p in pubs if p.reprint_author_key is not None))
+
+    def _resolved(self, n: int, with_reprint: int) -> "KeysConfig":
+        """:meth:`resolved_for_seed` for a seed of ``n`` publications,
+        ``with_reprint`` of which carry reprint data."""
         if self.author_scope is not AuthorScope.AUTO:
             return self
-        if not pubs:
+        if not n:
             raise EmptySeed("cannot resolve author scope on an empty seed")
-        with_reprint = sum(1 for p in pubs if p.reprint_author_key is not None)
-        share = with_reprint / len(pubs)
-        scope = (AuthorScope.REPRINT_ONLY if share >= REPRINT_AUTO_MIN_SHARE
+        scope = (AuthorScope.REPRINT_ONLY
+                 if with_reprint / n >= REPRINT_AUTO_MIN_SHARE
                  else AuthorScope.ALL_AUTHORS)
         return dataclasses.replace(self, author_scope=scope)
 
@@ -212,17 +244,18 @@ def homonyms_among(author_keys: Iterable[str]) -> frozenset[str]:
 
 def _resolve_seed(
     corpus: Corpus, seed_ids: frozenset[str], config: KeysConfig | None
-) -> tuple[list[Publication], KeysConfig]:
-    """The seed's publications in id order and the config resolved for them."""
-    pubs = []
-    for pid in sorted(seed_ids):
-        pub = corpus.publications.get(pid)
-        if pub is None:
-            raise UnknownPubId(pid)
-        pubs.append(pub)
-    if not pubs:
+) -> tuple[list[int], KeysConfig]:
+    """The seed's rows, ascending (so in id order), and the config
+    resolved for them."""
+    try:
+        rows = sorted(corpus.rows_of(seed_ids))
+    except KeyError:
+        raise UnknownPubId(min(seed_ids.difference(corpus.rows))) from None
+    if not rows:
         raise EmptySeed("seed record is empty")
-    return pubs, (config or KeysConfig()).resolved_for_seed(pubs)
+    reprint = corpus.reprint
+    return rows, (config or KeysConfig())._resolved(
+        len(rows), sum(reprint[row] >= 0 for row in rows))
 
 
 def field_frequencies(
@@ -237,8 +270,11 @@ def field_frequencies(
     exclusion is a candidacy rule of :func:`select_key_values`, not a
     counting rule.
     """
-    pubs, config = _resolve_seed(corpus, seed.all_ids, config)
-    return dict(FIELD_SPECS[field].count(corpus, pubs, config))
+    rows, config = _resolve_seed(corpus, seed.all_ids, config)
+    spec = FIELD_SPECS[field]
+    table = spec.table(corpus)
+    return {table[value]: n
+            for value, n in spec.count(corpus, rows, config).items()}
 
 
 @dataclass(frozen=True)
@@ -309,58 +345,72 @@ def select_key_values(
     is admitted and the threshold is still not met, :class:`Unsatisfiable`
     is raised carrying the exhausted partial set.
     """
-    seed_ids = seed.all_ids
-    pubs, config = _resolve_seed(corpus, seed_ids, config)
-    return _select(corpus, seed_ids, pubs, config, field)
+    rows, config = _resolve_seed(corpus, seed.all_ids, config)
+    return _select(corpus, rows, config, field)
 
 
 def _select(
     corpus: Corpus,
-    seed_ids: frozenset[str],
-    pubs: Sequence[Publication],
+    rows: Sequence[int],
     config: KeysConfig,
     field: FieldKind,
 ) -> KeyValueSet:
-    """:func:`select_key_values` on a resolved seed and config.
+    """:func:`select_key_values` on a resolved seed's rows and config.
 
     The values are counted in one pass and grouped into frequency
-    batches; only an admitted value's seed publications are looked up,
-    as its corpus posting within ``seed_ids``, and credited a whole set
-    at a time.
+    batches; only an admitted value's seed rows are looked up, as its
+    corpus posting within the seed, and credited a whole set at a time:
+    a sparse posting's row array is intersected with the seed's rows, a
+    dense posting's bitset with the seed's bitset.
     """
     spec = FIELD_SPECS[field]
     threshold = config.threshold_for(field)
     required = spec.required(config)
-    counts = spec.count(corpus, pubs, config)
+    counts = spec.count(corpus, rows, config)
+    table = spec.table(corpus)
 
-    eligible: Collection[str] = counts
+    eligible: Collection[int] = counts
     if field is FieldKind.AUTHOR:
-        homonyms = homonyms_among(counts)
+        homonyms = homonyms_among(map(table.__getitem__, counts))
         if homonyms:
             eligible = [key for key in counts
-                        if key.rpartition(" ")[0] not in homonyms]
-    batches: dict[int, list[str]] = defaultdict(list)
+                        if table[key].rpartition(" ")[0] not in homonyms]
+    batches: dict[int, list[int]] = defaultdict(list)
     for value in eligible:
         batches[counts[value]].append(value)
 
     index = spec.index(corpus, config.author_scope)
-    n = len(pubs)
-    # levels[j]: the seed publications more than j admitted values hit,
-    # below required; none when fewer values are eligible than required
-    levels = ([set() for _ in range(required)]
-              if required <= len(eligible) else [])
+    n_rows = len(corpus)
+    seed_rows = set(rows)
+    seed_bits = bitset_of_rows(rows, n_rows) if index.bits else 0
+    n = len(rows)
+    # levels[j]: the seed rows more than j admitted values hit, below
+    # required; none when fewer values are eligible than required.  They
+    # are row bitsets while only dense values are admitted, and sets of
+    # rows from the first sparse value on.
+    levels: list = [0] * required if required <= len(eligible) else []
     covered = 0
     entries: list[KeyValueEntry] = []
     reached = False
     # frequencies descending, values ascending within a tie batch
     for freq in sorted(batches, reverse=True):
-        for value in sorted(batches[freq]):
+        for value in sorted(map(table.__getitem__, batches[freq])):
             if levels:
-                hits = index[value] & seed_ids
+                bits = index.bits.get(value)
+                if bits is not None and type(levels[0]) is int:
+                    hits = bits & seed_bits
+                else:
+                    if type(levels[0]) is int:
+                        levels = [set(rows_in(level, n_rows))
+                                  for level in levels]
+                    hits = (seed_rows.intersection(index.rows[value])
+                            if bits is None
+                            else set(rows_in(bits & seed_bits, n_rows)))
                 for j in range(len(levels) - 1, 0, -1):
                     levels[j] |= levels[j - 1] & hits
                 levels[0] |= hits
-                covered = len(levels[-1])
+                top = levels[-1]
+                covered = len(top) if type(top) is set else top.bit_count()
             entries.append(KeyValueEntry(value, freq, covered / n))
         if covered / n >= threshold:
             reached = True
@@ -438,10 +488,9 @@ def compute_all_keys(
     raises :class:`Unsatisfiable` (fields run in the canonical order
     cell, title word, author, reference).
     """
-    seed_ids = seed.all_ids
-    pubs, config = _resolve_seed(corpus, seed_ids, config)
+    rows, config = _resolve_seed(corpus, seed.all_ids, config)
     return KeyValueSets(config=config, corpus=corpus, **{
-        spec.attr: _select(corpus, seed_ids, pubs, config, field)
+        spec.attr: _select(corpus, rows, config, field)
         for field, spec in FIELD_SPECS.items()
     })
 

@@ -97,8 +97,8 @@ def build_seed_record(
     added: set[str] = set()
     unresolved: set[str] = set()
     if extend:
-        for pid in initial:
-            for ref in corpus.publications[pid].references:
+        for row in corpus.rows_of(initial):
+            for ref in corpus.reference.values_of(row):
                 if ref not in corpus:
                     unresolved.add(ref)
                 elif ref not in initial:

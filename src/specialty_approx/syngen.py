@@ -26,12 +26,14 @@ import json
 import logging
 import re
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .approx import SpecialtyApproximation
-from .corpus import Corpus, decode_json_line, read_lines
+from .approx import SpecialtyApproximation, window_rows
+from .corpus import Corpus, decode_json_line, ids_of_rows, read_lines
 from .errors import FileUnreadable, InvalidConfig, LabelMismatch, SchemaError
 
 if TYPE_CHECKING:
@@ -46,6 +48,9 @@ logger = logging.getLogger(__name__)
 STOP_WORDS = ("of", "in", "and", "for", "with", "from", "on", "the")
 
 LOTKA_MAX_PRODUCTIVITY = 50
+
+# The most items one config may ask for; see GeneratorConfig.
+GENERATOR_ITEM_BUDGET = 50_000_000
 
 _LABEL_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
@@ -124,10 +129,27 @@ class SpecialtyParams:
             out[name] = list(out[name])
         return out
 
+    @property
+    def items(self) -> int:
+        """The most items generating this specialty draws or builds: per
+        publication the upper bounds of its title words, reference draws
+        (twice the references plus 8) and authors, plus the pools."""
+        per_publication = (self.title_length[1] + 2 * self.refs_per_pub[1]
+                           + 8 + self.authors_per_pub[1])
+        return (self.n_publications * per_publication + self.n_core_cells
+                + self.vocab_size + LOTKA_MAX_PRODUCTIVITY * self.n_authors
+                + self.n_reference_targets)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """One generation run: seed, specialties, field contamination rate."""
+    """One generation run: seed, specialties, field contamination rate.
+
+    A config may ask for at most :data:`GENERATOR_ITEM_BUDGET` items over
+    all its specialties (:attr:`SpecialtyParams.items`), checked before
+    anything is drawn: the 100k-publication benchmark corpus asks for
+    about 10.6 M.
+    """
 
     rng_seed: int
     specialties: tuple[SpecialtyParams, ...]
@@ -143,6 +165,10 @@ class GeneratorConfig:
                  f"specialty labels must be unique, got {labels}")
         _require(0 <= self.cross_contamination <= 1,
                  "cross_contamination must lie in [0, 1]")
+        items = sum(sp.items for sp in self.specialties)
+        _require(items <= GENERATOR_ITEM_BUDGET,
+                 f"config asks for {items} items, over the budget of "
+                 f"{GENERATOR_ITEM_BUDGET}")
 
     def to_dict(self) -> dict:
         return {
@@ -188,7 +214,8 @@ class GeneratorConfig:
 class GroundTruth:
     """Specialty membership written alongside a generated corpus.
 
-    ``labels`` maps publication id to specialty label.
+    ``labels`` maps publication id to specialty label; each label's ids
+    are grouped once, on first use.
     """
 
     labels: Mapping[str, str]
@@ -197,7 +224,14 @@ class GroundTruth:
         return self.labels.get(pub_id)
 
     def ids_for(self, label: str) -> frozenset[str]:
-        return frozenset(p for p, l in self.labels.items() if l == label)
+        return self._ids_by_label.get(label, frozenset())
+
+    @cached_property
+    def _ids_by_label(self) -> dict[str, frozenset[str]]:
+        grouped = defaultdict(list)
+        for pid, label in self.labels.items():
+            grouped[label].append(pid)
+        return {label: frozenset(ids) for label, ids in grouped.items()}
 
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -540,35 +574,33 @@ def evaluate_recovery(
     Precision: share of members that belong to the target specialty.
     Recall: share of the target specialty's in-window publications that
     are members.  Every member and every label must resolve
-    (:class:`LabelMismatch` otherwise); an empty approximation scores
-    (0.0, 0.0) with a logged warning.
+    (:class:`LabelMismatch` otherwise, naming the first offending id in
+    sorted order); an empty approximation scores (0.0, 0.0) with a
+    logged warning.
     """
-    labels = ground_truth.labels
-    if target_specialty not in set(labels.values()):
+    target_ids = ground_truth.ids_for(target_specialty)
+    if not target_ids:
         raise LabelMismatch(
             f"no publication labeled {target_specialty!r} in ground truth"
         )
-    unlabeled = [pid for pid in approximation.member_ids if pid not in labels]
+    members = approximation.member_set
+    unlabeled = members.difference(ground_truth.labels)
     if unlabeled:
         raise LabelMismatch(
             f"{len(unlabeled)} member(s) missing from ground truth, "
-            f"first: {unlabeled[0]!r}"
+            f"first: {min(unlabeled)!r}"
         )
+    absent = target_ids.difference(corpus.rows)
+    if absent:
+        raise LabelMismatch(f"labeled id {min(absent)!r} not in corpus")
 
-    target_ids = ground_truth.ids_for(target_specialty)
-    in_window_target = set()
-    for pid in target_ids:
-        pub = corpus.publications.get(pid)
-        if pub is None:
-            raise LabelMismatch(f"labeled id {pid!r} not in corpus")
-        if pub.year in approximation.window:
-            in_window_target.add(pid)
-
-    members = approximation.member_set
     if not members:
         logger.warning("empty approximation: precision and recall are 0")
         return 0.0, 0.0
+    in_window = ids_of_rows(window_rows(corpus, approximation.window),
+                            corpus.row_ids)
+    n_target = len(target_ids.intersection(in_window))
     true_hits = len(members & target_ids)
     precision = true_hits / len(members)
-    recall = (true_hits / len(in_window_target)) if in_window_target else 0.0
+    recall = (true_hits / n_target) if n_target else 0.0
     return precision, recall

@@ -1066,6 +1066,11 @@ def one_specialty_config(rng_seed=1, **params):
     pytest.param(one_specialty_config(n_reference_targets=7.0),
                  id="integral-float-count"),
     pytest.param(one_specialty_config(n_publications=True), id="bool-count"),
+    pytest.param(one_specialty_config(n_publications=1,
+                                      refs_per_pub=[2**62, 2**62]),
+                 id="refs-over-the-item-budget"),
+    pytest.param(one_specialty_config(n_publications=10**9),
+                 id="publications-over-the-item-budget"),
 ])
 def test_generate_config_numpy_cannot_draw_exits_2(tmp_path, config):
     path = tmp_path / "config.json"

@@ -23,6 +23,7 @@ from specialty_approx import (
     derive_cell, field_frequencies, ingest, is_doi_like, normalize_author_key,
     parse_record, tokenize_title,
 )
+from specialty_approx.corpus import Postings
 from specialty_approx.keys import FIELD_SPECS
 from specialty_approx.syngen import build_records
 from specialty_approx.errors import (
@@ -395,8 +396,10 @@ def test_title_word_forward_index_counts_as_tokenize_title():
                *_TITLE_EDGE_RECORDS]
     corpus = records_to_corpus(records)
     ids = [record["id"] for record in records]
+    words = corpus.title_word.values
     for pid in ids:   # each publication's distinct words, once each
-        assert corpus.title_word_counts([pid]) == dict.fromkeys(
+        counts = corpus.title_word.count([corpus.rows[pid]])
+        assert {words[w]: n for w, n in counts.items()} == dict.fromkeys(
             tokenize_title(corpus.publications[pid].title), 1), pid
 
     for min_word_len in range(1, 9):
@@ -650,7 +653,7 @@ def test_ingest_indexes_equal_brute_force_rebuild(tmp_path):
     assert corpus.by_reprint_author_key and corpus.by_reference
     for name, index in expected.items():
         built = getattr(corpus, name)
-        assert type(built) is dict, name
+        assert isinstance(built, Postings), name
         assert built == index, name
         assert all(type(ids) is frozenset for ids in built.values()), name
 

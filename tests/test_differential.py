@@ -145,8 +145,7 @@ def test_dense_and_sparse_postings_match_the_oracle():
         keys = craft_keys(corpus, seed_ids, **settings)
         peer_keys = craft_keys(corpus, peer_ids, **settings)
         dense = {
-            field: {FIELD_SPECS[field].index(corpus, scope)[value]
-                    in corpus.bitsets
+            field: {value in FIELD_SPECS[field].index(corpus, scope).bits
                     for value in keys.per_field(field).values}
             for field in FIELD_ORDER}
         assert dense[FieldKind.TITLE_WORD] == {False, True}

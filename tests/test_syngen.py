@@ -1,6 +1,7 @@
 """Synthetic-corpus generator tests: determinism, pools, ground truth."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,11 @@ from specialty_approx import (
     build_approximation, build_records, build_seed_record, compute_all_keys,
     evaluate_recovery, generate, is_doi_like, parse_record,
 )
-from specialty_approx.errors import InvalidConfig, LabelMismatch, SchemaError
+from specialty_approx.errors import (FileUnreadable, InvalidConfig,
+                                     LabelMismatch, SchemaError)
 from specialty_approx.keys import KeysConfig
-from specialty_approx.syngen import LOTKA_MAX_PRODUCTIVITY
+from specialty_approx.syngen import (GENERATOR_ITEM_BUDGET,
+                                     LOTKA_MAX_PRODUCTIVITY)
 
 
 def small_params(label="solo", **overrides):
@@ -79,6 +82,37 @@ def test_config_values_numpy_cannot_draw_are_rejected():
             small_params(year_range=pair)
     with pytest.raises(InvalidConfig):
         small_config(rng_seed=-1)
+
+
+@pytest.mark.parametrize("specialty", [
+    {"label": "a", "n_publications": 1, "refs_per_pub": [2**62, 2**62]},
+    {"label": "a", "n_publications": 10**9},
+], ids=["refs-per-pub-2**62", "1e9-publications"])
+def test_config_over_the_item_budget_is_rejected_at_load(tmp_path,
+                                                        specialty):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rng_seed": 1, "specialties": [specialty]}),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileUnreadable, match="budget"):
+            GeneratorConfig.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000   # rejected before anything is drawn
+    with pytest.raises(InvalidConfig, match="over the budget"):
+        GeneratorConfig.from_dict({"rng_seed": 1, "specialties": [specialty]})
+
+
+def test_item_budget_counts_every_specialty():
+    params = small_params()
+    assert params.items == (120 * (12 + 2 * 25 + 8 + 6) + 5 + 200
+                            + LOTKA_MAX_PRODUCTIVITY * 150 + 150)
+    fits = GENERATOR_ITEM_BUDGET // params.items
+    small_config(labels=tuple(f"s{k}" for k in range(fits)))
+    with pytest.raises(InvalidConfig, match="over the budget"):
+        small_config(labels=tuple(f"s{k}" for k in range(fits + 1)))
 
 
 def test_lenient_config_values_still_load_as_before():
@@ -307,3 +341,19 @@ def test_evaluate_recovery_label_mismatches():
     augmented = GroundTruth(labels={**dict(truth.labels), "ghost": "solo"})
     with pytest.raises(LabelMismatch):
         evaluate_recovery(approximation, augmented, "solo", corpus)
+
+
+def test_evaluate_recovery_names_the_first_offending_id_in_sorted_order():
+    corpus, truth, approximation = pipeline_on(small_config(rng_seed=29))
+    ghosts = [f"ghost{k:02d}" for k in range(40, 0, -3)]
+    augmented = GroundTruth(labels={**dict(truth.labels),
+                                    **dict.fromkeys(ghosts, "solo")})
+    with pytest.raises(LabelMismatch, match=f"'{min(ghosts)}' not in corpus"):
+        evaluate_recovery(approximation, augmented, "solo", corpus)
+    unlabeled = approximation.member_ids[-5:]
+    partial = GroundTruth(labels={pid: label
+                                  for pid, label in truth.labels.items()
+                                  if pid not in unlabeled})
+    with pytest.raises(LabelMismatch,
+                       match=f"5 member.*first: '{unlabeled[0]}'"):
+        evaluate_recovery(approximation, partial, "solo", corpus)
