@@ -17,7 +17,7 @@ specialty labels to validate recovery.
 from .approx import (CoverageProfile, SpecialtyApproximation, YearWindow,
                      build_approximation, coverage_profile,
                      expected_inclusion_probability, expected_inclusion_rate,
-                     rederive_key_values, seed_coverage_histogram,
+                     seed_coverage_histogram,
                      write_approximation_csv)
 from .analytics import (AuthorRanking, ExcludedAuthor, ExclusionReason,
                         MutualCoverage, RankedAuthor, RankingSource,
@@ -61,7 +61,7 @@ __all__ = [
     "derive_cell", "evaluate_recovery", "expected_inclusion_probability",
     "expected_inclusion_rate", "field_frequencies", "generate", "ingest",
     "is_doi_like", "mutual_coverage", "normalize_author_key", "parse_record",
-    "rank_authors", "rederive_key_values", "seed_coverage_histogram",
+    "rank_authors", "seed_coverage_histogram",
     "select_key_values", "tokenize_title", "write_approximation_csv",
     "write_corpus", "write_key_values_csv", "write_rankings_csv",
     "write_seed_csv",

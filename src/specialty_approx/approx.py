@@ -37,7 +37,7 @@ from .corpus import Corpus, Postings, bitset_from_digits, ids_of_rows
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
-                   KeysConfig, KeyValueSets, compute_all_keys)
+                   KeyValueSets)
 from .seed import SeedRecord
 
 
@@ -405,27 +405,6 @@ def seed_coverage_histogram(
     counts = _histogram(region_rows(corpus, keys,
                                     corpus.bitset(seed.all_ids)))
     return {k: n / len(seed.all_ids) for k, n in counts.items()}
-
-
-def rederive_key_values(
-    corpus: Corpus,
-    approximation: SpecialtyApproximation,
-    config: KeysConfig | None = None,
-) -> KeyValueSets:
-    """Re-run key-value selection with the approximation as the seed.
-
-    The members become a fresh (non-extended) seed; large populations
-    typically need far smaller key shares per unique value than the
-    original seed did.
-    """
-    if not approximation.member_ids:
-        raise EmptyApproximation("approximation has no members")
-    new_seed = SeedRecord(
-        initial_ids=approximation.member_set,
-        extended_ids=frozenset(),
-        unresolved_references=frozenset(),
-    )
-    return compute_all_keys(corpus, new_seed, config or KeysConfig())
 
 
 APPROX_CSV_COLUMNS = (

@@ -16,19 +16,23 @@ it arrives and keeps no :class:`Publication`.  Every publication gets a
 row, its place in sorted-id order, and every field value an int id into
 the field's value table, handed out by a dict keyed by the value:
 
-* per-row columns (:class:`Column`) hold the cell, year, document type
-  and source as value ids, and the titles as strings;
+* per-row columns (:class:`Column`) hold the cell (by its key string),
+  year, document type and source as value ids, and the titles as
+  strings;
 * forward indexes (:class:`ForwardIndex`) hold each row's title words
   (distinct), authors (in list order, so the reprint index resolves),
   reprint author (none or one) and references (distinct, sorted), as one
   flat ``array("I")`` of value ids cut by an offsets array;
 * postings hold, per field value, the sorted rows carrying it as an
-  ``array("I")``.  Every posting that holds at least a 64th of the corpus
-  is dense and also keeps its row bitset, a Python int whose binary
-  numeral, ``len(corpus)`` digits wide, has a ``1`` for each member row in
-  row order; set algebra over dense postings is ``&``, ``|`` and
-  :meth:`int.bit_count`.  This is the array-or-bitmap container split of
-  Roaring bitmaps (Chambi, Lemire, Kaser and Godin, arXiv:1402.6407).
+  ``array("I")``.  They are not written during the pass: once the columns
+  and forward indexes are in row order, each posting mapping is derived
+  by inverting one of them (:func:`_invert`).  Every posting that holds
+  at least a 64th of the corpus is dense and also keeps its row bitset, a
+  Python int whose binary numeral, ``len(corpus)`` digits wide, has a
+  ``1`` for each member row in row order; set algebra over dense postings
+  is ``&``, ``|`` and :meth:`int.bit_count`.  This is the array-or-bitmap
+  container split of Roaring bitmaps (Chambi, Lemire, Kaser and Godin,
+  arXiv:1402.6407).
 
 On the 100k-record benchmark corpus the postings hold 3.39 M rows, 13.6
 MB as ``array("I")``, and the forward indexes 1.09 M title-word, 0.35 M
@@ -49,12 +53,12 @@ import re
 import sys
 import unicodedata
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property, lru_cache
 from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import (Collection, Hashable, Iterable, Iterator, Mapping,
                     Sequence)
@@ -542,13 +546,6 @@ def bitset_of_rows(rows: Iterable[int], n: int) -> int:
     return bitset_from_digits(digits)
 
 
-def _rows_of(ids: Collection[str], rows: Mapping[str, int]) -> Sequence[int]:
-    """The rows of ``ids``, in their order; itemgetter looks them up in C."""
-    if len(ids) < 2:   # itemgetter needs an id, and returns one row bare
-        return [rows[pid] for pid in ids]
-    return itemgetter(*ids)(rows)
-
-
 class Postings(Mapping):
     """One inverted index: each field value maps to the frozenset of the
     ids of the publications carrying it, built on every read and not kept.
@@ -645,16 +642,10 @@ class _Publications(Mapping):
 
 
 class _Interner(dict):
-    """Value -> id, numbering new values from 0; ``postings[id]`` is there
-    to gather the arrival indexes of the value's publications."""
-
-    def __init__(self):
-        super().__init__()
-        self.postings: list[array] = []
+    """Value -> id, numbering new values from 0 in order of arrival."""
 
     def __missing__(self, value) -> int:
-        self[value] = new = len(self.postings)
-        self.postings.append(array("I"))
+        self[value] = new = len(self)
         return new
 
 
@@ -673,17 +664,51 @@ def _reorder(ids: array, offsets: array,
     return new_ids, new_offsets
 
 
+def _invert(index: Column | ForwardIndex, row_ids: Sequence[str]) -> Postings:
+    """The postings of a column or forward index in row order: each value
+    some row holds maps to those rows, ascending and each once.
+
+    This is the in-memory inversion of Zobel and Moffat ("Inverted files
+    for text search engines", ACM Computing Surveys 38(2), 2006): the
+    entries are read in row order and each appends its row to its value's
+    posting, so every posting comes out sorted.  A posting holding at
+    least a 64th of the rows also gets its row bitset.
+    """
+    n = len(row_ids)
+    distinct = True
+    if isinstance(index, Column):
+        entry_rows: Iterable[int] = range(n)
+    else:   # each row once per value id it holds
+        distinct, offsets = index.distinct, index.offsets
+        entry_rows = chain.from_iterable(
+            map(repeat, range(n), map(sub, offsets[1:], offsets)))
+    postings = [array("I") for _ in index.values]
+    # posting.append(row) per entry, run in C; the deque keeps nothing
+    deque(map(array.append, map(postings.__getitem__, index.ids), entry_rows),
+          maxlen=0)
+    rows, bits = {}, {}
+    for value, posting in zip(index.values, postings):
+        if not posting:   # an author no row names as its reprint author
+            continue
+        if not distinct:   # a row holding a value twice appended it twice
+            posting = array("I", dict.fromkeys(posting))
+        rows[value] = posting
+        if _DENSE_SHARE * len(posting) >= n:
+            bits[value] = bitset_of_rows(posting, n)
+    return Postings(rows, bits, row_ids)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """An immutable, columnar publication collection.
 
     ``row_ids`` lists the ids in sorted order and ``rows`` maps each id to
     its place there, its row; ``arrival`` lists the rows in arrival order.
-    Per row, ``titles`` and the :class:`Column` s ``cell``, ``year``,
-    ``doc_type`` and ``source`` hold one value each; the
-    :class:`ForwardIndex` es ``title_word``, ``author``, ``reprint_author``
-    and ``reference`` hold several, and ``reprint`` holds the reprint
-    author's place in the author list (-1 for none).
+    Per row, ``titles`` and the :class:`Column` s ``cell`` (the cell's
+    key string), ``year``, ``doc_type`` and ``source`` hold one value
+    each; the :class:`ForwardIndex` es ``title_word``, ``author``,
+    ``reprint_author`` and ``reference`` hold several, and ``reprint``
+    holds the reprint author's place in the author list (-1 for none).
 
     The six ``by_*`` :class:`Postings` are the inverted indexes; ids
     round-trip, i.e. ``pid in by_cell[corpus.publications[pid].cell.key]``
@@ -731,7 +756,8 @@ class Corpus:
         reprint = self.reprint[row]
         pub = object.__new__(Publication)
         pub._fill(self.row_ids[row], self.year[row], self.doc_type[row],
-                  self.source[row], self.cell[row], self.titles[row],
+                  self.source[row], CellId(tuple(self.cell[row].split("|"))),
+                  self.titles[row],
                   tuple(map(_name_of_key, keys)), keys,
                   None if reprint < 0 else reprint,
                   self.reference.values_of(row))
@@ -744,42 +770,40 @@ class Corpus:
             rows[year] for year in set(years) if year in rows)))
 
     def rows_of(self, ids: Collection[str]) -> Sequence[int]:
-        """The rows of ``ids``, all corpus ids, in their order."""
-        return _rows_of(ids, self.rows)
+        """The rows of ``ids``, in their order.  When some id is absent
+        from the corpus, :class:`UnknownPubId` names the least of them."""
+        rows = self.rows
+        try:
+            if len(ids) < 2:   # itemgetter needs an id; it returns one bare
+                return [rows[pid] for pid in ids]
+            return itemgetter(*ids)(rows)   # looks the ids up in C
+        except KeyError:
+            raise UnknownPubId(min(pid for pid in ids
+                                   if pid not in rows)) from None
 
     def bitset(self, ids: Iterable[str]) -> int:
-        """The row bitset of ``ids``; an id absent from the corpus raises
-        :class:`UnknownPubId`."""
-        ids = frozenset(ids)
-        unknown = ids.difference(self.rows)
-        if unknown:
-            raise UnknownPubId(min(unknown))
-        return bitset_of_rows(self.rows_of(ids), len(self.row_ids))
+        """The row bitset of ``ids``, checked as :meth:`rows_of` does."""
+        return bitset_of_rows(self.rows_of(frozenset(ids)), len(self.row_ids))
 
     @classmethod
-    def from_publications(
-        cls,
-        publications: Iterable[Publication],
-        ingest_report: IngestReport | None = None,
-    ) -> "Corpus":
+    def from_publications(cls,
+                          publications: Iterable[Publication]) -> "Corpus":
         """Write a publication stream into columns.  Raises
         :class:`DuplicatePubId`.
 
         One pass over the publications, in arrival order, gives every
         field value an id in its field's table, appends each publication's
-        value ids to the columns and forward indexes and its arrival index
-        to each of its values' postings, and drops the publication.  One
-        sort of the ids then gives the rows; when the ids did not arrive
-        sorted, the columns and postings are put in row order.  Each dense
-        posting also gets its row bitset.
+        value ids to the columns and forward indexes, and drops the
+        publication.  One sort of the ids then gives the rows; when the
+        ids did not arrive sorted, the columns and forward indexes are put
+        in row order.  The postings are then derived from those by
+        :func:`_invert`, so a row array is sorted by construction.
         """
         arrived: dict[str, None] = {}
         cells, years, doc_types, sources = (_Interner() for _ in range(4))
         words, authors, references = _Interner(), _Interner(), _Interner()
-        reprinted: dict[int, array] = {}
-        columns = {name: array("I") for name in
-                   ("cell", "year", "doc_type", "source")}
-        cell_col, year_col, doc_type_col, source_col = columns.values()
+        columns = [array("I") for _ in range(4)]
+        cell_col, year_col, doc_type_col, source_col = columns
         titles: list[str] = []
         reprint = array("i")
         forward = {name: _forward() for name in
@@ -787,52 +811,32 @@ class Corpus:
         (word_ids, word_offsets), (author_ids, author_offsets), \
             (reprint_ids, reprint_offsets), (ref_ids, ref_offsets) = \
             forward.values()
-        cell_postings, year_postings = cells.postings, years.postings
-        word_postings, author_postings, ref_postings = (
-            words.postings, authors.postings, references.postings)
         authors_distinct = True
-        for a, pub in enumerate(publications):
+        for pub in publications:
             pid = pub.pub_id
             if pid in arrived:
                 raise DuplicatePubId(pid)
             arrived[pid] = None
-            v = cells[pub.cell]
-            cell_col.append(v)
-            cell_postings[v].append(a)
-            v = years[pub.year]
-            year_col.append(v)
-            year_postings[v].append(a)
+            cell_col.append(cells[pub.cell.key])
+            year_col.append(years[pub.year])
             doc_type_col.append(doc_types[pub.doc_type])
             source_col.append(sources[pub.source_id])
             titles.append(pub.title)
-            held = dict.fromkeys(map(words.__getitem__,
-                                     _title_words(pub.title)))
-            word_ids.extend(held)
+            word_ids.extend(dict.fromkeys(map(words.__getitem__,
+                                              _title_words(pub.title))))
             word_offsets.append(len(word_ids))
-            for v in held:
-                word_postings[v].append(a)
             named = list(map(authors.__getitem__, pub._author_keys))
             author_ids.extend(named)
             author_offsets.append(len(author_ids))
-            held = dict.fromkeys(named)
-            authors_distinct &= len(held) == len(named)
-            for v in held:
-                author_postings[v].append(a)
+            authors_distinct &= len(set(named)) == len(named)
             if pub.reprint_author is None:
                 reprint.append(-1)
             else:
                 reprint.append(pub.reprint_author)
-                v = named[pub.reprint_author]
-                reprint_ids.append(v)
-                if v not in reprinted:
-                    reprinted[v] = array("I")
-                reprinted[v].append(a)
+                reprint_ids.append(named[pub.reprint_author])
             reprint_offsets.append(len(reprint_ids))
-            held = list(map(references.__getitem__, pub._references))
-            ref_ids.extend(held)
+            ref_ids.extend(map(references.__getitem__, pub._references))
             ref_offsets.append(len(ref_ids))
-            for v in held:
-                ref_postings[v].append(a)
 
         arrived_ids = list(arrived)
         del arrived
@@ -840,54 +844,42 @@ class Corpus:
         order = sorted(range(n), key=arrived_ids.__getitem__)
         row_ids = tuple(map(arrived_ids.__getitem__, order))
         del arrived_ids
-        sort_rows = order != list(range(n))
-        if sort_rows:   # arrival a becomes row row_of[a]
-            row_of = array("I", sorted(range(n), key=order.__getitem__))
-            for name, column in columns.items():
-                columns[name] = array("I", map(column.__getitem__, order))
+        arrival: Sequence[int] = range(n)
+        if order != list(arrival):   # arrival a becomes row arrival[a]
+            arrival = array("I", sorted(range(n), key=order.__getitem__))
+            columns = [array("I", map(column.__getitem__, order))
+                       for column in columns]
             titles = list(map(titles.__getitem__, order))
             reprint = array("i", map(reprint.__getitem__, order))
             for name, (ids, offsets) in forward.items():
                 forward[name] = _reorder(ids, offsets, order)
         del order
 
-        def postings(keys: Iterable, arrays: Iterable[array]) -> Postings:
-            rows, bits = {}, {}
-            for key, posting in zip(keys, arrays):
-                if sort_rows:
-                    posting = array("I", sorted(map(row_of.__getitem__,
-                                                    posting)))
-                rows[key] = posting
-                if _DENSE_SHARE * len(posting) >= n:
-                    bits[key] = bitset_of_rows(posting, n)
-            return Postings(rows, bits, row_ids)
-
         author_table = tuple(authors)
-        word_table = tuple(map(sys.intern, words))
-        tables = {"cell": tuple(cells), "year": tuple(years),
-                  "doc_type": tuple(doc_types), "source": tuple(sources)}
+        cell, year, doc_type, source = (
+            Column(tuple(table), column) for table, column in
+            zip((cells, years, doc_types, sources), columns))
+        title_word = ForwardIndex(tuple(map(sys.intern, words)),
+                                  *forward["title_word"])
+        author = ForwardIndex(author_table, *forward["author"],
+                              distinct=authors_distinct)
+        reprint_author = ForwardIndex(author_table, *forward["reprint_author"])
+        reference = ForwardIndex(tuple(references), *forward["reference"])
         return cls(
             row_ids=row_ids,
             rows=dict(zip(row_ids, range(n))),
-            arrival=row_of if sort_rows else range(n),
+            arrival=arrival,
             titles=tuple(titles),
-            **{name: Column(tables[name], column)
-               for name, column in columns.items()},
-            title_word=ForwardIndex(word_table, *forward["title_word"]),
-            author=ForwardIndex(author_table, *forward["author"],
-                                distinct=authors_distinct),
-            reprint_author=ForwardIndex(author_table,
-                                        *forward["reprint_author"]),
-            reprint=reprint,
-            reference=ForwardIndex(tuple(references), *forward["reference"]),
-            by_cell=postings(map(_KEY_OF, cells), cells.postings),
-            by_title_word=postings(word_table, words.postings),
-            by_author_key=postings(author_table, authors.postings),
-            by_reprint_author_key=postings(
-                map(author_table.__getitem__, reprinted), reprinted.values()),
-            by_reference=postings(references, references.postings),
-            by_year=postings(years, years.postings),
-            ingest_report=ingest_report,
+            cell=cell, year=year, doc_type=doc_type, source=source,
+            title_word=title_word, author=author,
+            reprint_author=reprint_author, reprint=reprint,
+            reference=reference,
+            by_cell=_invert(cell, row_ids),
+            by_title_word=_invert(title_word, row_ids),
+            by_author_key=_invert(author, row_ids),
+            by_reprint_author_key=_invert(reprint_author, row_ids),
+            by_reference=_invert(reference, row_ids),
+            by_year=_invert(year, row_ids),
         )
 
 

@@ -34,7 +34,7 @@ from typing import (Callable, Collection, Iterable, Iterator, Mapping,
 
 from .corpus import (Corpus, ForwardIndex, Postings, Publication,
                      bitset_of_rows, is_doi_like, rows_in, tokenize_title)
-from .errors import EmptySeed, InvalidConfig, Unsatisfiable, UnknownPubId
+from .errors import EmptySeed, InvalidConfig, Unsatisfiable
 from .seed import SeedRecord
 
 
@@ -123,7 +123,7 @@ FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
     FieldKind.CELL: FieldSpec(
         "cells", "threshold_cell",
         values=lambda pub, config: frozenset((pub.cell.key,)),
-        table=lambda corpus: [cell.key for cell in corpus.cell.values],
+        table=lambda corpus: corpus.cell.values,
         count=lambda corpus, rows, config: corpus.cell.count(rows),
         index=lambda corpus, scope: corpus.by_cell),
     FieldKind.TITLE_WORD: FieldSpec(
@@ -247,10 +247,7 @@ def _resolve_seed(
 ) -> tuple[list[int], KeysConfig]:
     """The seed's rows, ascending (so in id order), and the config
     resolved for them."""
-    try:
-        rows = sorted(corpus.rows_of(seed_ids))
-    except KeyError:
-        raise UnknownPubId(min(seed_ids.difference(corpus.rows))) from None
+    rows = sorted(corpus.rows_of(seed_ids))
     if not rows:
         raise EmptySeed("seed record is empty")
     reprint = corpus.reprint

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .corpus import Corpus
-from .errors import EmptyInitialSet, UnknownPubId
+from .errors import EmptyInitialSet
 
 
 class Provenance(Enum):
@@ -90,14 +90,12 @@ def build_seed_record(
     initial = frozenset(initial_ids)
     if not initial:
         raise EmptyInitialSet("no initial publication ids supplied")
-    for pid in sorted(initial):
-        if pid not in corpus:
-            raise UnknownPubId(pid)
+    rows = corpus.rows_of(initial)
 
     added: set[str] = set()
     unresolved: set[str] = set()
     if extend:
-        for row in corpus.rows_of(initial):
+        for row in rows:
             for ref in corpus.reference.values_of(row):
                 if ref not in corpus:
                     unresolved.add(ref)

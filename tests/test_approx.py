@@ -15,14 +15,14 @@ from specialty_approx import (
     SeedRecord, YearWindow, build_approximation, build_seed_record,
     compute_all_keys, coverage_of_record_by_keys, coverage_profile, ingest,
     expected_inclusion_probability, expected_inclusion_rate,
-    rederive_key_values, seed_coverage_histogram, select_key_values,
+    seed_coverage_histogram, select_key_values,
     write_approximation_csv,
 )
 from specialty_approx import approx as approx_mod
 from specialty_approx.approx import (APPROX_CSV_COLUMNS, covered_rows,
                                      key_author_match_counts, region_rows)
 from specialty_approx.errors import (
-    EmptyApproximation, EmptyWindow, InvalidConfig, OutOfRange, Unsatisfiable,
+    EmptyWindow, InvalidConfig, OutOfRange, Unsatisfiable,
 )
 from specialty_approx.keys import FIELD_SPECS, KeyValueEntry, KeyValueSet
 from specialty_approx.syngen import (GeneratorConfig, SpecialtyParams,
@@ -524,37 +524,6 @@ def test_keys_asked_about_another_corpus_recompute():
         region_rows(other, dataclasses.replace(keys, corpus=None),
                     other.bitset(other.row_ids))
     assert covered_rows(corpus, keys) == on_corpus
-
-
-# ----------------------------------------------------------------- rederive
-
-def test_rederive_key_values_uses_members_as_fresh_seed():
-    rng = np.random.default_rng(55)
-    records = make_random_records(rng, 80, years=(2005, 2006))
-    corpus = records_to_corpus(records)
-    keys = craft_keys(corpus, [r["id"] for r in records[:30]])
-    result = build_approximation(corpus, keys, YearWindow(2005, 2006), 2)
-    assert len(result) > 0
-    config = KeysConfig(threshold_cell=0.5, threshold_title=0.5,
-                        threshold_author=0.5, threshold_reference=0.5)
-    try:
-        rederived = rederive_key_values(corpus, result, config)
-    except Unsatisfiable:
-        return  # a sparse membership may legitimately fail a field
-    fresh_seed = build_seed_record(corpus, result.member_ids, extend=False)
-    direct = compute_all_keys(corpus, fresh_seed, config)
-    for field in (FieldKind.CELL, FieldKind.TITLE_WORD,
-                  FieldKind.AUTHOR, FieldKind.REFERENCE):
-        assert rederived.per_field(field).values == \
-            direct.per_field(field).values
-
-
-def test_rederive_rejects_empty_membership():
-    corpus = records_to_corpus([minimal_record()])
-    keys = craft_keys(corpus, ["p1"])
-    empty = build_approximation(corpus, keys, YearWindow(1900, 1901), 4)
-    with pytest.raises(EmptyApproximation):
-        rederive_key_values(corpus, empty)
 
 
 # ---------------------------------------------------------------------- CSV

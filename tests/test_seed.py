@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_random_records, records_to_corpus
 from specialty_approx import (
-    Provenance, SeedRecord, build_seed_record, write_seed_csv,
+    KeysConfig, Provenance, SeedRecord, build_seed_record, compute_all_keys,
+    coverage_of_record_by_keys, write_seed_csv,
 )
 from specialty_approx.errors import EmptyInitialSet, UnknownPubId
 from specialty_approx.seed import SEED_CSV_COLUMNS
@@ -49,6 +50,29 @@ def test_unknown_initial_id_raises():
     with pytest.raises(UnknownPubId) as exc_info:
         build_seed_record(chain_corpus(), ["a", "zz"])
     assert exc_info.value.pub_id == "zz"
+
+
+def _keys_of_a(corpus):
+    return compute_all_keys(
+        corpus, build_seed_record(corpus, ["a"], extend=False),
+        KeysConfig(threshold_cell=0.5, threshold_title=0.5,
+                   threshold_author=0.5, threshold_reference=0.5))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda corpus, ids: build_seed_record(corpus, ids),
+    lambda corpus, ids: compute_all_keys(corpus, SeedRecord(
+        initial_ids=frozenset(ids), extended_ids=frozenset(),
+        unresolved_references=frozenset())),
+    lambda corpus, ids: coverage_of_record_by_keys(
+        ids, _keys_of_a(corpus), 3, corpus),
+], ids=["build_seed_record", "compute_all_keys",
+        "coverage_of_record_by_keys"])
+def test_unknown_ids_name_the_least_at_every_entry_point(entry):
+    # known ids on both sides of the unknown ones, the larger unknown first
+    with pytest.raises(UnknownPubId) as exc_info:
+        entry(chain_corpus(), ["c", "b0", "a", "a9"])
+    assert exc_info.value.pub_id == "a9"
 
 
 def test_empty_initial_set_raises():
