@@ -28,9 +28,12 @@ inside ``--out``: ``--out`` is made on the first write, or before
 written without it.  Then ``run.finish()`` adds ``manifest.json``
 (arguments, sha256 input digests, outputs, stats, warnings, wall time)
 if anything was written, checks every target, moves the outputs into
-``--out`` with the manifest last, and prints each warning once.  A run
-that fails leaves ``--out`` as it found it: a failed move puts back the
-files it had already replaced.  Lenient ``ingest`` (without
+``--out`` with the manifest last, and prints each warning once.  The
+stats of every command that reads a corpus include
+``phases["corpus.ingest"]``: the ingest's seconds and its ``lines``,
+``accepted`` and ``rejected`` counts.  A run that fails leaves ``--out``
+as it found it: a failed move puts back the files it had already
+replaced.  Lenient ``ingest`` (without
 ``--strict``) is the one command that exits 2 with its outputs written:
 when it rejects lines, it still writes ``ingest_report.json``, which
 lists them, and ``manifest.json``.  Primary outputs are
@@ -279,17 +282,34 @@ def _read_ids(path: str | Path) -> list[str]:
     return out
 
 
-def _load_corpus(path: str | Path) -> corpus_mod.Corpus:
-    """Ingest for pipeline commands: any malformed line is fatal (exit 2).
+def _ingest(run: _Run, path: str | Path,
+            strict: bool = False) -> corpus_mod.Corpus:
+    """Ingest the corpus, recording the phase in ``run.stats["phases"]``
+    under the name of its benchmark span, ``corpus.ingest``.
 
     The loaded corpus is frozen out of the cyclic collector's reach: a
     command runs once per process and keeps its corpus to the end, so
     later collections need not walk it again.
     """
-    loaded = corpus_mod.ingest(path)
+    started = time.perf_counter()
+    loaded = corpus_mod.ingest(path, strict=strict)
+    seconds = time.perf_counter() - started
     gc.freeze()
     report = loaded.ingest_report
-    if report is not None and report.rejected:
+    run.stats.setdefault("phases", {})["corpus.ingest"] = {
+        "seconds": round(seconds, 6),
+        "lines": report.total_lines,
+        "accepted": report.accepted,
+        "rejected": len(report.rejected),
+    }
+    return loaded
+
+
+def _load_corpus(run: _Run, path: str | Path) -> corpus_mod.Corpus:
+    """Ingest for pipeline commands: any malformed line is fatal (exit 2)."""
+    loaded = _ingest(run, path)
+    report = loaded.ingest_report
+    if report.rejected:
         shown = ", ".join(
             f"line {r.line_no} ({r.reason})" for r in report.rejected[:10]
         )
@@ -306,7 +326,7 @@ def _load_corpus(path: str | Path) -> corpus_mod.Corpus:
 def _load(run: _Run, args: argparse.Namespace,
           *input_names: str) -> corpus_mod.Corpus:
     """Load ``args.corpus``; record its digest and the named inputs'."""
-    loaded = _load_corpus(args.corpus)
+    loaded = _load_corpus(run, args.corpus)
     for name in ("corpus", *input_names):
         run.add_input(name, getattr(args, name))
     return loaded
@@ -363,8 +383,7 @@ def _field_block(kvs: keys_mod.KeyValueSet) -> dict:
 # ------------------------------------------------------------- subcommands
 
 def cmd_ingest(run: _Run, args: argparse.Namespace) -> int:
-    loaded = corpus_mod.ingest(args.corpus, strict=args.strict)
-    gc.freeze()   # as _load_corpus does: later collections skip the corpus
+    loaded = _ingest(run, args.corpus, strict=args.strict)
     run.add_input("corpus", args.corpus)
     report = loaded.ingest_report
     years = sorted(loaded.by_year)
@@ -381,7 +400,7 @@ def cmd_ingest(run: _Run, args: argparse.Namespace) -> int:
             for spec in keys_mod.FIELD_SPECS.values()
         },
     }
-    run.stats = {"accepted": report.accepted, "rejected": len(report.rejected)}
+    run.stats.update(accepted=report.accepted, rejected=len(report.rejected))
     run.emit_json("ingest_report.json", payload)
     print(f"accepted {report.accepted} of {report.total_lines} line(s), "
           f"{len(report.rejected)} rejected")
@@ -396,7 +415,7 @@ def cmd_seed(run: _Run, args: argparse.Namespace) -> int:
     loaded = _load(run, args, "ids")
     record, _, _ = _derive(loaded, _read_ids(args.ids), args.extend, None)
     run.emit("seed.csv", lambda p: seed_mod.write_seed_csv(record, p))
-    run.stats = _seed_block(record)
+    run.stats.update(_seed_block(record))
     print(f"seed: {len(record.initial_ids)} initial + "
           f"{len(record.extended_ids)} added via references "
           f"({record.unresolved_reference_count} unresolved reference(s))")
@@ -449,8 +468,8 @@ def cmd_keys(run: _Run, args: argparse.Namespace) -> int:
         }
         summary["key_author_match_counts"] = approx.key_author_match_counts(
             loaded, keys, result.window)
-        run.stats = {"n_members": len(result),
-                     "n_in_window": result.n_in_window}
+        run.stats.update(n_members=len(result),
+                         n_in_window=result.n_in_window)
     run.emit_json("summary.json", summary)
     if result is None:
         for kvs in keys:
@@ -599,8 +618,8 @@ def cmd_reviewers(run: _Run, args: argparse.Namespace) -> int:
         "warnings": list(ranking.warnings),
     }
     run.emit_json("reviewer_report.json", report)
-    run.stats = {"n_ranked": len(ranking.entries),
-                 "n_excluded": len(ranking.excluded)}
+    run.stats.update(n_ranked=len(ranking.entries),
+                     n_excluded=len(ranking.excluded))
     print(f"ranked {len(ranking.entries)} author(s), "
           f"excluded {len(ranking.excluded)}; top {min(args.top, len(ranking.entries))} "
           f"written to {run.out / 'rankings.csv'}")

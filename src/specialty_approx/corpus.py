@@ -3,18 +3,25 @@
 A corpus is a set of publication records, each carrying the four fields the
 pipeline works with: a cell (the publication's combination of subject
 categories), a title, an author list, and a list of cited reference ids.
-Records arrive as JSON lines.  :func:`parse_record` checks each decoded
-line's JSON shapes, runs the record rules of the :class:`Publication`
-constructor in field order, and builds a compact, immutable
-:class:`Publication`, so every schema rule is written once and runs once
-per line.  A rule that depends only on a raw author pair or a raw
-category list runs once per distinct raw value: its checked result is
-kept in a dict keyed by that value until :func:`ingest` returns.
+Records arrive as JSON lines, and :func:`ingest` takes each decoded line
+straight into columns in one pass.  Its per-record step checks the
+line's JSON shapes and runs the record rules of the :class:`Publication`
+constructor in field order; it writes nothing until every rule has
+passed, and then appends the record's value ids.  Dicts keyed by the raw
+JSON values (a raw ``(surname, initials)`` pair, a raw category list, a
+raw doc-type label) hand out those ids, so a rule that depends on such a
+value alone runs once per distinct value.  The dicts belong to the
+column builder of one ingest and go with it; no cache in this module
+grows with the corpus.  :func:`parse_record` is the same step on a
+builder of one record, with its :class:`Publication` read back, so every
+schema rule is written once.  No line builds a :class:`Publication` or
+an :class:`AuthorName`.
 
-:meth:`Corpus.from_publications` writes each publication into columns as
-it arrives and keeps no :class:`Publication`.  Every publication gets a
-row, its place in sorted-id order, and every field value an int id into
-the field's value table, handed out by a dict keyed by the value:
+:meth:`Corpus.from_publications` finishes the builder :func:`ingest`
+filled; an iterable of publications is first appended by the same
+writer.  Every publication gets a row, its place in sorted-id order, and
+every field value an int id into the field's value table, handed out by
+a dict keyed by the value:
 
 * per-row columns (:class:`Column`) hold the cell (by its key string),
   year, document type and source as value ids, and the titles as
@@ -56,7 +63,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter, sub
 from pathlib import Path
@@ -136,13 +143,7 @@ class AuthorName:
         Raises ``ValueError`` when the surname is empty or no alphabetic
         initial exists.
         """
-        folded = _fold_surname(surname)
-        if not folded:
-            raise ValueError("author surname is empty")
-        cleaned = re.sub(r"[^A-Za-z]", "", initials)
-        if not cleaned:
-            raise ValueError(f"author {surname!r} has no alphabetic initials")
-        return cls(surname=folded, first_initial=cleaned[0].upper())
+        return cls(*_fold_name(surname, initials))
 
     @classmethod
     def from_key(cls, key: str) -> "AuthorName":
@@ -158,11 +159,29 @@ class AuthorName:
         return cls.from_raw(surname, initial)
 
 
+def _fold_name(surname: str, initials: str) -> tuple[str, str]:
+    """The folded surname and the first alphabetic initial, uppercased, of
+    a raw author; ``ValueError`` when either is missing."""
+    folded = _fold_surname(surname)
+    if not folded:
+        raise ValueError("author surname is empty")
+    cleaned = re.sub(r"[^A-Za-z]", "", initials)
+    if not cleaned:
+        raise ValueError(f"author {surname!r} has no alphabetic initials")
+    return folded, cleaned[0].upper()
+
+
 def normalize_author_key(raw: str) -> str:
     """Normalize a user-supplied ``"surname initial"`` string to a key."""
     return AuthorName.from_key(raw).key
 
 
+# the size of the caches that let publications built on read share their
+# equal names and cells
+_SHARED = 1024
+
+
+@lru_cache(maxsize=_SHARED)
 def _name_of_key(key: str) -> AuthorName:
     """The name whose key is ``key``: its initial is the one character
     after the last space, and its surname, interned, all before it."""
@@ -198,15 +217,13 @@ class CellId:
 def derive_cell(subject_categories: Iterable[str]) -> CellId:
     """Derive the cell id for a category set (order-insensitive).
 
-    Equal category sets share one :class:`CellId`, cached until the end
-    of the current :func:`ingest`.
+    Equal category sets share one :class:`CellId` while it is among the
+    last 1024 cells derived or read back.
     """
-    return _cell(tuple(sorted(set(subject_categories))))
+    return _shared_cell(tuple(sorted(set(subject_categories))))
 
 
-@cache
-def _cell(categories: tuple[str, ...]) -> CellId:
-    return CellId(categories)
+_shared_cell = lru_cache(maxsize=_SHARED)(CellId)
 
 
 def tokenize_title(title: str, min_len: int = 1) -> frozenset[str]:
@@ -383,122 +400,36 @@ class IngestReport:
         return not self.rejected
 
 
-# raw JSON values -> their checked, shared value: a raw (surname, initials)
-# pair's AuthorName, a raw category list's CellId.  Emptied when ingest
-# returns or raises.
-_NAME_OF_RAW: dict[tuple, AuthorName] = {}
-_CELL_OF_RAW: dict[tuple, CellId] = {}
+def _author_key(entry, i: int, line_no: int) -> str:
+    """The key of raw author ``i`` of a record, after its rules."""
+    if not isinstance(entry, dict):
+        raise SchemaError(line_no, f"author {i} is not an object")
+    surname = entry.get("surname")
+    initials = entry.get("initials")
+    if not isinstance(surname, str) or not isinstance(initials, str):
+        raise SchemaError(
+            line_no, f"author {i} needs string 'surname' and 'initials'"
+        )
+    if (not (surname.isascii() and initials.isascii())
+            and _SURROGATE.search(surname + initials)):
+        raise SchemaError(line_no, f"author {i} holds a lone surrogate")
+    try:
+        surname, initial = _fold_name(surname, initials)
+    except ValueError as exc:
+        raise SchemaError(line_no, f"author {i}: {exc}") from exc
+    return sys.intern(f"{surname} {initial}")
 
 
-def _parse_authors(raw, line_no: int) -> tuple[AuthorName, ...]:
-    if not isinstance(raw, list):
-        raise SchemaError(line_no, "'authors' must be a list")
-    out = []
-    for i, entry in enumerate(raw):
-        try:   # a raw pair seen before passed every rule below
-            name = _NAME_OF_RAW.get((entry["surname"], entry["initials"]))
-        except (KeyError, TypeError):
-            name = None
-        if name is not None:
-            out.append(name)
-            continue
-        if not isinstance(entry, dict):
-            raise SchemaError(line_no, f"author {i} is not an object")
-        surname = entry.get("surname")
-        initials = entry.get("initials")
-        if not isinstance(surname, str) or not isinstance(initials, str):
-            raise SchemaError(
-                line_no, f"author {i} needs string 'surname' and 'initials'"
-            )
-        if (not (surname.isascii() and initials.isascii())
-                and _SURROGATE.search(surname + initials)):
-            raise SchemaError(line_no, f"author {i} holds a lone surrogate")
-        try:
-            name = AuthorName.from_raw(surname, initials)
-        except ValueError as exc:
-            raise SchemaError(line_no, f"author {i}: {exc}") from exc
-        out.append(_NAME_OF_RAW.setdefault((surname, initials), name))
-    return tuple(out)
-
-
-def _parse_cell(raw, line_no: int) -> CellId:
-    """The cell of a raw category list, checked once per distinct list."""
-    if type(raw) is list:   # a str or dict would pass tuple() too
-        try:
-            return _CELL_OF_RAW[tuple(raw)]
-        except (KeyError, TypeError):
-            pass
-    categories = tuple(_parse_str_list(raw, line_no, "subject_categories"))
-    _apply(line_no, _check_categories, categories)
-    return _CELL_OF_RAW.setdefault(tuple(raw), derive_cell(categories))
-
-
-def _parse_str_list(raw, line_no: int, key: str) -> list[str]:
-    """The strings of ``raw``, interned; ``str`` subclasses are copied first."""
-    if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(str))):
+def _check_str_list(raw, line_no: int, key: str) -> None:
+    """Check that ``raw`` is a list of strings without a lone surrogate."""
+    try:   # join takes nothing but strings
+        text = "".join(raw) if isinstance(raw, list) else None
+    except TypeError:
+        text = None
+    if text is None:
         raise SchemaError(line_no, f"'{key}' must be a list of strings")
-    text = "".join(raw)
     if not text.isascii() and _SURROGATE.search(text):
         raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
-    return list(map(sys.intern, map(str.__str__, raw)))
-
-
-_REQUIRED_KEYS = (
-    "id", "year", "doc_type", "source_id",
-    "subject_categories", "title", "authors", "reprint_author", "references",
-)
-_REQUIRED = frozenset(_REQUIRED_KEYS)
-
-
-def parse_record(obj: dict, line_no: int = 0) -> Publication:
-    """Check one decoded JSON object and build its :class:`Publication`.
-
-    This checks the JSON shapes (the keys, the value types, lone
-    surrogates and empty references) and runs the
-    :class:`Publication` constructor's rules, each at its place in field
-    order, so that a line with several faults reports the first of them
-    and each rule runs once.  Unknown keys are ignored.  Every violation
-    raises :class:`SchemaError` carrying ``line_no``.
-    """
-    if not isinstance(obj, dict):
-        raise SchemaError(line_no, "record is not a JSON object")
-    if not _REQUIRED <= obj.keys():
-        missing = [k for k in _REQUIRED_KEYS if k not in obj]
-        raise SchemaError(line_no, f"missing keys: {', '.join(missing)}")
-
-    pub_id = obj["id"]
-    if not isinstance(pub_id, str) or not pub_id:
-        raise SchemaError(line_no, "'id' must be a non-empty string")
-    year = obj["year"]
-    _apply(line_no, _check_year, year)
-    for key in ("id", "doc_type", "source_id", "title"):
-        text = obj[key]
-        if not isinstance(text, str):
-            raise SchemaError(line_no, f"'{key}' must be a string")
-        if not text.isascii() and _SURROGATE.search(text):
-            raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
-
-    cell = _parse_cell(obj["subject_categories"], line_no)
-    authors = _parse_authors(obj["authors"], line_no)
-
-    reprint = obj["reprint_author"]
-    if reprint is not None and (isinstance(reprint, bool)
-                                or not isinstance(reprint, int)):
-        raise SchemaError(line_no, "'reprint_author' must be an integer or null")
-
-    references = _parse_str_list(obj["references"], line_no, "references")
-    if "" in references:
-        raise SchemaError(line_no, "'references' contains an empty string")
-    refs = tuple(sorted(set(references)))
-    _apply(line_no, _check_references, pub_id, refs)
-    _apply(line_no, _check_reprint, reprint, authors)
-
-    pub = object.__new__(Publication)
-    pub._fill(pub_id, year, DocType.from_label(obj["doc_type"]),
-              sys.intern(str.__str__(obj["source_id"])), cell,
-              obj["title"], authors, tuple(map(_KEY_OF, authors)), reprint,
-              refs)
-    return pub
 
 
 def _apply(line_no: int, rule, *values) -> None:
@@ -507,6 +438,19 @@ def _apply(line_no: int, rule, *values) -> None:
         rule(*values)
     except ValueError as exc:
         raise SchemaError(line_no, str(exc)) from exc
+
+
+def _publication(pub_id: str, year: int, doc_type: DocType, source_id: str,
+                 cell_key: str, title: str, author_keys: tuple[str, ...],
+                 reprint: int, refs: tuple[str, ...]) -> Publication:
+    """The :class:`Publication` of one row's values, ``reprint`` -1 for
+    none; its names and cell are shared with the ones read before it."""
+    pub = object.__new__(Publication)
+    pub._fill(pub_id, year, doc_type, source_id,
+              _shared_cell(tuple(cell_key.split("|"))), title,
+              tuple(map(_name_of_key, author_keys)), author_keys,
+              None if reprint < 0 else reprint, refs)
+    return pub
 
 
 # a posting is dense, and keeps a row bitset, from 1/_DENSE_SHARE of the corpus
@@ -698,6 +642,195 @@ def _invert(index: Column | ForwardIndex, row_ids: Sequence[str]) -> Postings:
     return Postings(rows, bits, row_ids)
 
 
+_REQUIRED_KEYS = (
+    "id", "year", "doc_type", "source_id",
+    "subject_categories", "title", "authors", "reprint_author", "references",
+)
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_RAW_NAME = itemgetter("surname", "initials")
+
+
+class _ColumnBuilder:
+    """The columns and forward indexes of one corpus, in arrival order,
+    filled one record at a time; :meth:`Corpus.from_publications` puts
+    them in row order and inverts them.
+
+    Every field value gets an int id from its table, a dict keyed by the
+    value that numbers new values in order of arrival.  Three more dicts,
+    keyed by raw JSON values, give a raw ``(surname, initials)`` pair its
+    author id, a raw category list its cell id and a raw doc-type label its
+    doc-type id, so a rule that depends on such a value alone runs once
+    per distinct value.  All of it lives and goes with the builder.
+    """
+
+    def __init__(self):
+        self.arrived: dict[str, None] = {}
+        (self.cells, self.years, self.doc_types, self.sources, self.words,
+         self.authors, self.references) = (_Interner() for _ in range(7))
+        self.author_of_raw: dict[tuple, int] = {}
+        self.cell_of_raw: dict[tuple, int] = {}
+        self.doc_type_of_raw: dict[str, int] = {}
+        self.columns = [array("I") for _ in range(4)]
+        self.titles: list[str] = []
+        self.reprint = array("i")
+        self.forward = {name: _forward() for name in
+                        ("title_word", "author", "reprint_author", "reference")}
+        self.authors_distinct = True
+
+    def add_record(self, obj, line_no: int) -> None:
+        """Check one decoded JSON object and append its row.
+
+        This checks the JSON shapes (the keys, the value types, lone
+        surrogates and empty references) and runs the :class:`Publication`
+        constructor's rules, each at its place in field order, so that a
+        line with several faults reports the first of them.  Nothing is
+        written until every rule has passed.  Unknown keys are ignored.
+        Every violation raises :class:`SchemaError` carrying ``line_no``;
+        an id added before raises :class:`DuplicatePubId`.
+        """
+        if not isinstance(obj, dict):
+            raise SchemaError(line_no, "record is not a JSON object")
+        if not _REQUIRED <= obj.keys():
+            missing = [k for k in _REQUIRED_KEYS if k not in obj]
+            raise SchemaError(line_no, f"missing keys: {', '.join(missing)}")
+
+        pub_id = obj["id"]
+        if not isinstance(pub_id, str) or not pub_id:
+            raise SchemaError(line_no, "'id' must be a non-empty string")
+        year = obj["year"]
+        _apply(line_no, _check_year, year)
+        for key in ("id", "doc_type", "source_id", "title"):
+            text = obj[key]
+            if not isinstance(text, str):
+                raise SchemaError(line_no, f"'{key}' must be a string")
+            if not text.isascii() and _SURROGATE.search(text):
+                raise SchemaError(line_no, f"'{key}' holds a lone surrogate")
+
+        # a raw value with an id passed every rule that depends on it alone
+        raw_cell = obj["subject_categories"]
+        try:
+            cell = (self.cell_of_raw.get(tuple(raw_cell))
+                    if type(raw_cell) is list else None)
+        except TypeError:   # an unhashable item, which the rules reject
+            cell = None
+        if cell is None:
+            _check_str_list(raw_cell, line_no, "subject_categories")
+            _apply(line_no, _check_categories, raw_cell)
+            cell_key = "|".join(sorted(set(map(str.__str__, raw_cell))))
+
+        raw_authors = obj["authors"]
+        if not isinstance(raw_authors, list):
+            raise SchemaError(line_no, "'authors' must be a list")
+        try:
+            pairs = list(map(_RAW_NAME, raw_authors))
+            named = list(map(self.author_of_raw.get, pairs))
+        except (KeyError, TypeError):   # an author the rules reject below
+            named = [None] * len(raw_authors)
+        new_names = None in named
+        if new_names:   # the new ones get their key, checked
+            for i, entry in enumerate(raw_authors):
+                if named[i] is None:
+                    named[i] = _author_key(entry, i, line_no)
+
+        reprint = obj["reprint_author"]
+        if reprint is not None and (isinstance(reprint, bool)
+                                    or not isinstance(reprint, int)):
+            raise SchemaError(line_no,
+                              "'reprint_author' must be an integer or null")
+
+        raw_refs = obj["references"]
+        _check_str_list(raw_refs, line_no, "references")
+        if "" in raw_refs:
+            raise SchemaError(line_no, "'references' contains an empty string")
+        refs = set(map(str.__str__, raw_refs))
+        _apply(line_no, _check_references, pub_id, refs)
+        _apply(line_no, _check_reprint, reprint, named)
+
+        # every rule has passed: the new raw values get their ids
+        self._arrive(pub_id)
+        if cell is None:
+            cell = self.cell_of_raw[tuple(raw_cell)] = self.cells[cell_key]
+        if new_names:
+            for i, key in enumerate(named):
+                if type(key) is str:
+                    named[i] = self.author_of_raw[pairs[i]] = self.authors[key]
+        label = obj["doc_type"]
+        doc_type = self.doc_type_of_raw.get(label)
+        if doc_type is None:
+            doc_type = self.doc_type_of_raw[label] = \
+                self.doc_types[DocType.from_label(label)]
+        self._append(cell, year, doc_type, str.__str__(obj["source_id"]),
+                     obj["title"], named, reprint, sorted(refs))
+
+    def add_publication(self, pub: Publication) -> None:
+        """Append the row of a publication, whose rules have run."""
+        self._arrive(pub.pub_id)
+        self._append(self.cells[pub.cell.key], pub.year,
+                     self.doc_types[pub.doc_type], pub.source_id, pub.title,
+                     list(map(self.authors.__getitem__, pub._author_keys)),
+                     pub.reprint_author, pub._references)
+
+    def _arrive(self, pub_id: str) -> None:
+        if pub_id in self.arrived:
+            raise DuplicatePubId(pub_id)
+        self.arrived[pub_id] = None
+
+    def _append(self, cell: int, year: int, doc_type: int, source: str,
+                title: str, named: list[int], reprint: int | None,
+                refs: Sequence[str]) -> None:
+        """Write the row of one checked record: ``cell``, ``doc_type`` and
+        the authors ``named`` are value ids, ``refs`` sorted and distinct.
+        """
+        cell_col, year_col, doc_type_col, source_col = self.columns
+        cell_col.append(cell)
+        year_col.append(self.years[year])
+        doc_type_col.append(doc_type)
+        source_col.append(self.sources[source])
+        self.titles.append(title)
+        (word_ids, word_offsets), (author_ids, author_offsets), \
+            (reprint_ids, reprint_offsets), (ref_ids, ref_offsets) = \
+            self.forward.values()
+        word_ids.extend(dict.fromkeys(map(self.words.__getitem__,
+                                          _title_words(title))))
+        word_offsets.append(len(word_ids))
+        author_ids.extend(named)
+        author_offsets.append(len(author_ids))
+        self.authors_distinct &= len(set(named)) == len(named)
+        if reprint is None:
+            self.reprint.append(-1)
+        else:
+            self.reprint.append(reprint)
+            reprint_ids.append(named[reprint])
+        reprint_offsets.append(len(reprint_ids))
+        ref_ids.extend(map(self.references.__getitem__, refs))
+        ref_offsets.append(len(ref_ids))
+
+    def only_publication(self) -> Publication:
+        """The :class:`Publication` of a builder's one record, read back."""
+        (pub_id,), (cell,), (year,), (doc_type,), (source,) = (
+            self.arrived, self.cells, self.years, self.doc_types, self.sources)
+        authors = tuple(self.authors)
+        author_ids, _ = self.forward["author"]
+        return _publication(pub_id, year, doc_type, source, cell,
+                            self.titles[0],
+                            tuple(map(authors.__getitem__, author_ids)),
+                            self.reprint[0], tuple(self.references))
+
+
+def parse_record(obj: dict, line_no: int = 0) -> Publication:
+    """Check one decoded JSON object and build its :class:`Publication`.
+
+    The object goes through the per-record step :func:`ingest` runs on
+    every line (the shapes, then the :class:`Publication` constructor's
+    rules, in field order), on a builder of its own, and its publication
+    is read back.  Every violation raises :class:`SchemaError` carrying
+    ``line_no``.
+    """
+    built = _ColumnBuilder()
+    built.add_record(obj, line_no)
+    return built.only_publication()
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Corpus:
     """An immutable, columnar publication collection.
@@ -752,16 +885,11 @@ class Corpus:
 
     def publication(self, row: int) -> Publication:
         """The :class:`Publication` of ``row``, built from the columns."""
-        keys = self.author.values_of(row)
-        reprint = self.reprint[row]
-        pub = object.__new__(Publication)
-        pub._fill(self.row_ids[row], self.year[row], self.doc_type[row],
-                  self.source[row], CellId(tuple(self.cell[row].split("|"))),
-                  self.titles[row],
-                  tuple(map(_name_of_key, keys)), keys,
-                  None if reprint < 0 else reprint,
-                  self.reference.values_of(row))
-        return pub
+        return _publication(self.row_ids[row], self.year[row],
+                            self.doc_type[row], self.source[row],
+                            self.cell[row], self.titles[row],
+                            self.author.values_of(row), self.reprint[row],
+                            self.reference.values_of(row))
 
     def ids_in_years(self, years: Iterable[int]) -> frozenset[str]:
         """Union of publication ids over the given years."""
@@ -786,58 +914,36 @@ class Corpus:
         return bitset_of_rows(self.rows_of(frozenset(ids)), len(self.row_ids))
 
     @classmethod
-    def from_publications(cls,
-                          publications: Iterable[Publication]) -> "Corpus":
-        """Write a publication stream into columns.  Raises
-        :class:`DuplicatePubId`.
+    def from_publications(
+            cls, publications: Iterable[Publication] | _ColumnBuilder,
+    ) -> "Corpus":
+        """Write a publication stream into columns, or finish the columns
+        :func:`ingest` has filled.  Raises :class:`DuplicatePubId`.
 
-        One pass over the publications, in arrival order, gives every
-        field value an id in its field's table, appends each publication's
-        value ids to the columns and forward indexes, and drops the
-        publication.  One sort of the ids then gives the rows; when the
-        ids did not arrive sorted, the columns and forward indexes are put
-        in row order.  The postings are then derived from those by
-        :func:`_invert`, so a row array is sorted by construction.
+        Each publication, in arrival order, has its row appended by the
+        writer :func:`ingest` uses too: every field value gets an id in its
+        field's table, and the value ids go into the columns and forward
+        indexes.  No publication is kept.  One sort of the ids then gives
+        the rows; when the ids did not arrive sorted, the columns and
+        forward indexes are put in row order.  The postings are then
+        derived from those by :func:`_invert`, so a row array is sorted by
+        construction.
         """
-        arrived: dict[str, None] = {}
-        cells, years, doc_types, sources = (_Interner() for _ in range(4))
-        words, authors, references = _Interner(), _Interner(), _Interner()
-        columns = [array("I") for _ in range(4)]
-        cell_col, year_col, doc_type_col, source_col = columns
-        titles: list[str] = []
-        reprint = array("i")
-        forward = {name: _forward() for name in
-                   ("title_word", "author", "reprint_author", "reference")}
-        (word_ids, word_offsets), (author_ids, author_offsets), \
-            (reprint_ids, reprint_offsets), (ref_ids, ref_offsets) = \
-            forward.values()
-        authors_distinct = True
-        for pub in publications:
-            pid = pub.pub_id
-            if pid in arrived:
-                raise DuplicatePubId(pid)
-            arrived[pid] = None
-            cell_col.append(cells[pub.cell.key])
-            year_col.append(years[pub.year])
-            doc_type_col.append(doc_types[pub.doc_type])
-            source_col.append(sources[pub.source_id])
-            titles.append(pub.title)
-            word_ids.extend(dict.fromkeys(map(words.__getitem__,
-                                              _title_words(pub.title))))
-            word_offsets.append(len(word_ids))
-            named = list(map(authors.__getitem__, pub._author_keys))
-            author_ids.extend(named)
-            author_offsets.append(len(author_ids))
-            authors_distinct &= len(set(named)) == len(named)
-            if pub.reprint_author is None:
-                reprint.append(-1)
-            else:
-                reprint.append(pub.reprint_author)
-                reprint_ids.append(named[pub.reprint_author])
-            reprint_offsets.append(len(reprint_ids))
-            ref_ids.extend(map(references.__getitem__, pub._references))
-            ref_offsets.append(len(ref_ids))
-
+        if isinstance(publications, _ColumnBuilder):
+            built = publications
+        else:
+            built = _ColumnBuilder()
+            for pub in publications:
+                built.add_publication(pub)
+        arrived, columns, titles, reprint, forward = (
+            built.arrived, built.columns, built.titles, built.reprint,
+            built.forward)
+        cells, years, doc_types, sources, words, authors, references = (
+            built.cells, built.years, built.doc_types, built.sources,
+            built.words, built.authors, built.references)
+        authors_distinct = built.authors_distinct
+        # the builder is used up: what it held is freed once replaced here
+        vars(built).clear()
         arrived_ids = list(arrived)
         del arrived
         n = len(arrived_ids)
@@ -925,47 +1031,37 @@ def ingest(path: str | Path, strict: bool = False) -> Corpus:
     :class:`DuplicatePubId`, strict or not: a silently dropped duplicate
     could change every downstream count.
 
-    Each line is decoded, then :func:`parse_record` checks its shapes and
-    the :class:`Publication` constructor's invariants, and each accepted
-    record streams straight into :meth:`Corpus.from_publications`, which
-    writes it into columns and keeps no :class:`Publication`.  The dicts
-    that run a rule once per distinct raw author pair and category list
-    are emptied when ingest returns or raises, so they keep nothing alive
-    once the corpus is freed.
+    Each line is decoded, and one column builder's per-record step (the
+    one :func:`parse_record` runs) checks it and appends its value ids;
+    no :class:`Publication` is built.  :meth:`Corpus.from_publications`
+    then finishes the builder.  The dicts keyed by raw values that the
+    builder holds go with it, when ingest returns or raises.
 
     The cyclic garbage collector is paused while ingest runs and restored
     to its state on entry, also when ingest raises: ingest builds only
     acyclic objects, which the collector would otherwise walk again and
     again.
     """
+    built = _ColumnBuilder()
     rejected: list[RejectedLine] = []
     total = 0
-
-    def accepted() -> Iterator[Publication]:
-        nonlocal total
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         for line_no, line in enumerate(read_lines(path), start=1):
             if not line.strip():
                 continue
             total += 1
             try:
-                pub = parse_record(decode_json_line(line, line_no), line_no)
+                built.add_record(decode_json_line(line, line_no), line_no)
             except SchemaError as exc:
                 if strict:
                     raise
                 rejected.append(RejectedLine(exc.line_no, exc.reason))
-                continue
-            yield pub
-
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        corpus = Corpus.from_publications(accepted())
+        corpus = Corpus.from_publications(built)
         report = IngestReport(total_lines=total, accepted=len(corpus),
                               rejected=tuple(rejected))
         return replace(corpus, ingest_report=report)
     finally:
-        _NAME_OF_RAW.clear()
-        _CELL_OF_RAW.clear()
-        _cell.cache_clear()
         if collecting:
             gc.enable()

@@ -440,6 +440,48 @@ def test_manifest_records_parsed_options_and_outputs(workspace, tmp_path,
         sorted([*manifest["outputs"], "manifest.json"])
 
 
+INGEST_READERS = ("ingest", "seed", "keys", "approx", "reviewers",
+                  "coverage", "evaluate")
+
+
+def _ingest_phase(manifest):
+    phase = manifest["stats"]["phases"]["corpus.ingest"]
+    assert isinstance(phase.pop("seconds"), float)   # its value varies
+    return phase
+
+
+@pytest.mark.parametrize("command", INGEST_READERS)
+def test_every_corpus_reader_records_its_ingest_phase(workspace, tmp_path,
+                                                      command):
+    out = tmp_path / "out"
+    result = run_cli(*LIFECYCLE[command](workspace), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert _ingest_phase(manifest) == {"lines": 300, "accepted": 300,
+                                       "rejected": 0}
+
+
+def test_ingest_phase_counts_merge_into_the_command_stats(workspace,
+                                                          tmp_path):
+    manifest = json.loads((workspace["run"] / "manifest.json").read_text(
+        encoding="utf-8"))
+    assert _ingest_phase(manifest) == {"lines": 300, "accepted": 300,
+                                       "rejected": 0}
+    assert {"n_members", "n_in_window"} <= manifest["stats"].keys()
+
+    bad = tmp_path / "bad.jsonl"
+    good_line = workspace["corpus"].read_text().splitlines()[0]
+    bad.write_text(f"{good_line}\n\n{{not json\n[]\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = run_cli("ingest", str(bad), "--out", str(out))
+    assert result.returncode == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert _ingest_phase(manifest) == {"lines": 3, "accepted": 1,
+                                       "rejected": 2}
+    assert (manifest["stats"]["accepted"], manifest["stats"]["rejected"]) == \
+        (1, 2)
+
+
 @pytest.mark.parametrize("command", ["ingest", "coverage", "evaluate"])
 def test_without_out_nothing_is_written(workspace, tmp_path, command):
     result = subprocess.run([*CLI, *LIFECYCLE[command](workspace)],

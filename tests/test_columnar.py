@@ -16,13 +16,13 @@ import pytest
 from conftest import make_random_records
 from oracles import (oracle_author_key, oracle_cell_key, oracle_tokens,
                      record_author_keys)
-from specialty_approx import (AuthorScope, Corpus, GroundTruth, KeysConfig,
-                              Publication, YearWindow, build_approximation,
-                              build_records, build_seed_record,
-                              compute_all_keys, coverage_of_record_by_keys,
-                              evaluate_recovery, ingest, mutual_coverage,
-                              parse_record, rank_authors,
-                              seed_coverage_histogram)
+from specialty_approx import (AuthorName, AuthorScope, Corpus, GroundTruth,
+                              KeysConfig, Publication, YearWindow,
+                              build_approximation, build_records,
+                              build_seed_record, compute_all_keys,
+                              coverage_of_record_by_keys, evaluate_recovery,
+                              ingest, mutual_coverage, parse_record,
+                              rank_authors, seed_coverage_histogram)
 from specialty_approx import corpus as corpus_mod
 from specialty_approx.approx import key_author_match_counts
 from specialty_approx.corpus import Postings
@@ -174,24 +174,25 @@ def test_lenient_ingest_with_rejected_lines_matches_brute_force(tmp_path):
     _check_against_brute_force(built, records)
 
 
-def test_ingest_calls_parse_record_per_line_and_from_publications_once(
+def _counted(counts, kind, original):
+    def wrapper(*args, **kwargs):
+        counts[kind] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+
+def test_ingest_builds_no_publication_and_calls_from_publications_once(
         tmp_path, monkeypatch):
-    # through the module and class attributes a tracer wraps
-    calls = {"parse_record": 0, "from_publications": 0}
-    parse = corpus_mod.parse_record
+    counts = {"from_publications": 0, "publications": 0, "names": 0}
+    # through the class attribute a tracer wraps
     build = corpus_mod.Corpus.__dict__["from_publications"].__func__
-
-    def counted_parse(*args, **kwargs):
-        calls["parse_record"] += 1
-        return parse(*args, **kwargs)
-
-    def counted_build(cls, *args, **kwargs):
-        calls["from_publications"] += 1
-        return build(cls, *args, **kwargs)
-
-    monkeypatch.setattr(corpus_mod, "parse_record", counted_parse)
-    monkeypatch.setattr(corpus_mod.Corpus, "from_publications",
-                        classmethod(counted_build))
+    monkeypatch.setattr(corpus_mod.Corpus, "from_publications", classmethod(
+        _counted(counts, "from_publications", build)))
+    for attr in ("__init__", "_fill"):
+        monkeypatch.setattr(Publication, attr, _counted(
+            counts, "publications", getattr(Publication, attr)))
+    monkeypatch.setattr(AuthorName, "__init__", _counted(
+        counts, "names", AuthorName.__init__))
     records = make_random_records(np.random.default_rng(44), 30)
     lines = [*map(json.dumps, records[:10]), "", "   ",
              json.dumps(_record("bad", year=None)), *map(json.dumps,
@@ -199,8 +200,54 @@ def test_ingest_calls_parse_record_per_line_and_from_publications_once(
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, lines)
     corpus = ingest(path)
-    assert calls == {"parse_record": 31, "from_publications": 1}
+    assert counts == {"from_publications": 1, "publications": 0, "names": 0}
     assert len(corpus) == 30 and len(corpus.ingest_report.rejected) == 1
+    # the counters do count
+    corpus.publications[records[0]["id"]]
+    assert counts["publications"] == 1
+
+
+def _module_caches():
+    """The function caches of ``corpus.py``: its module-level functions'
+    and its classes' methods'."""
+    owners = [corpus_mod, *(value for value in vars(corpus_mod).values()
+                            if isinstance(value, type)
+                            and value.__module__ == corpus_mod.__name__)]
+    found = {}
+    for owner in owners:
+        for name, value in vars(owner).items():
+            value = getattr(value, "__func__", value)   # a classmethod's
+            if hasattr(value, "cache_info"):
+                found[f"{owner.__name__}.{name}"] = value
+    return found
+
+
+def _module_sizes():
+    return {name: len(value) for name, value in vars(corpus_mod).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_no_module_level_cache_grows_with_the_corpus():
+    config = GeneratorConfig(
+        rng_seed=77,
+        specialties=tuple(
+            SpecialtyParams(label=label, n_publications=1500,
+                            internal_reference_fraction=0.1,
+                            reprint_author_rule="none")
+            for label in ("alpha", "beta")),
+        cross_contamination=0.10)
+    records = build_records(config)[0]
+    assert len(records) == 3000
+    sizes = _module_sizes()
+    caches = _module_caches()
+    assert "DocType.from_label" in caches   # the search finds caches
+    corpus = Corpus.from_publications(parse_record(r) for r in records)
+    list(corpus)   # every publication read back once
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize is not None, name
+        assert info.currsize <= info.maxsize, name
+    assert _module_sizes() == sizes
 
 
 def test_query_path_builds_no_publication_or_posting_frozenset(monkeypatch):
@@ -215,18 +262,11 @@ def test_query_path_builds_no_publication_or_posting_frozenset(monkeypatch):
     alpha = sorted(pid for pid, label in truth.labels.items()
                    if label == "alpha")
     built = {"publications": 0, "postings": 0}
-    init, fill = Publication.__init__, Publication._fill
-    getitem = Postings.__getitem__
-
-    def counted(kind, original):
-        def wrapper(*args, **kwargs):
-            built[kind] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Publication, "__init__", counted("publications", init))
-    monkeypatch.setattr(Publication, "_fill", counted("publications", fill))
-    monkeypatch.setattr(Postings, "__getitem__", counted("postings", getitem))
+    for owner, attr, kind in ((Publication, "__init__", "publications"),
+                              (Publication, "_fill", "publications"),
+                              (Postings, "__getitem__", "postings")):
+        monkeypatch.setattr(owner, attr, _counted(built, kind,
+                                                  getattr(owner, attr)))
     truth = GroundTruth(labels=dict(truth.labels))
     for scope in (AuthorScope.AUTO, AuthorScope.ALL_AUTHORS,
                   AuthorScope.REPRINT_ONLY):

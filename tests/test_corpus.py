@@ -697,6 +697,56 @@ def test_parse_record_fuzz_required_values(overrides, author):
     _parse_or_schema_error(record)
 
 
+def _verdict(obj, line_no):
+    """parse_record's verdict: the publication, or (line, reason)."""
+    try:
+        return parse_record(obj, line_no)
+    except SchemaError as exc:
+        return exc.line_no, exc.reason
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(surname=st.sampled_from(["Weiss", "Wei\u00df", " o'neil", ""]),
+       initials=st.sampled_from(["A", "j.r.", " Z ", "..."]),
+       categories=st.lists(st.sampled_from(["Phys", "Bio", "Chem"]),
+                           min_size=1, max_size=3),
+       label=st.sampled_from(["Article", "review", "odd"]),
+       overrides=st.dictionaries(st.sampled_from(_REQUIRED), _JSON_VALUES,
+                                 max_size=1),
+       author=st.dictionaries(st.sampled_from(("surname", "initials")),
+                              _JSON_VALUES, max_size=1),
+       second_author=st.booleans())
+def test_primed_raw_values_give_the_verdict_of_a_cold_parse(
+        surname, initials, categories, label, overrides, author,
+        second_author):
+    # the first record primes a raw author pair, category list and doc-type
+    # label; the second shares them, some of its values fuzzed
+    primed = {"authors": [{"surname": surname, "initials": initials}],
+              "subject_categories": categories, "doc_type": label}
+    primer = minimal_record(id="primer-record", **primed)
+    record = minimal_record(**primed)
+    fuzzed = {**record["authors"][0], **author}
+    record["authors"] = ([record["authors"][0], fuzzed] if second_author
+                         else [fuzzed])
+    record.update(overrides)
+    lines = [json.dumps(primer), json.dumps(record)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        corpus = ingest(path)
+    rejected = {r.line_no: (r.line_no, r.reason)
+                for r in corpus.ingest_report.rejected}
+    for line_no, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        cold = _verdict(obj, line_no)
+        if isinstance(cold, Publication):
+            assert line_no not in rejected
+            assert corpus.publications[obj["id"]] == cold
+        else:
+            assert rejected.get(line_no) == cold
+
+
 # None marks a valid record, given a unique id from its line number
 _LINES = st.lists(
     st.none()
