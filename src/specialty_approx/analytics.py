@@ -99,7 +99,7 @@ def _table_from_approximation(
 ) -> tuple[dict[str, int], frozenset[str]]:
     """Candidate counts over member publications, plus homonym surnames;
     counted over the corpus's author forward index."""
-    authors = in_scope_authors(corpus, scope)
+    authors, _ = in_scope_authors(corpus, scope)
     keys = authors.values
     table = {keys[author]: n for author, n in authors.count(
         corpus.rows_of(approximation.member_ids)).items()}

@@ -14,8 +14,9 @@ its 16 flag regions with ``&``, so the histogram and the subset sizes
 are bit counts and the members are the set rows of whole regions, read
 in row order and so already sorted; the approximation, the seed
 histogram and the analytics all ask it.  :func:`coverage_profile`
-evaluates the same rules on one publication and is the reference the
-engine must match.
+states the same rules once more, on one publication's own fields: it is
+the one per-publication copy of them, the reference the engine must
+match.
 
 Under per-field coverage ``t`` and independence, the chance a seed-like
 publication lands in a >=3-of-4 approximation is
@@ -33,11 +34,12 @@ from itertools import product
 from operator import and_, or_
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Postings, bitset_from_digits, ids_of_rows
+from .corpus import (Corpus, Postings, bitset_from_digits, ids_of_rows,
+                     tokenize_title)
 from .errors import (EmptyApproximation, EmptyWindow, InvalidConfig,
                      OutOfRange)
 from .keys import (FIELD_ORDER, FIELD_SPECS, AuthorScope, FieldKind,
-                   KeyValueSets)
+                   KeyValueSets, in_scope_authors)
 from .seed import SeedRecord
 
 
@@ -138,16 +140,23 @@ class CoverageProfile:
 
 
 def coverage_profile(pub, keys: KeyValueSets) -> CoverageProfile:
-    """Evaluate all four coverage rules for one publication.
-
-    The per-publication reference that :func:`covered_rows` must match.
-    """
+    """Evaluate all four coverage rules for one publication, on its own
+    fields: the one per-publication statement of the rules, and the
+    reference that :func:`covered_rows` must match."""
     config = keys.config
-    return CoverageProfile(pub.pub_id, tuple(
-        len(spec.values(pub, config) & keys.per_field(field).selected)
-        >= spec.required(config)
-        for field, spec in FIELD_SPECS.items()
-    ))
+    scope = config.author_scope
+    if scope is AuthorScope.AUTO:
+        raise InvalidConfig("coverage needs a resolved author scope")
+    words = tokenize_title(pub.title, config.min_word_len)
+    authors = (pub.author_keys if scope is AuthorScope.ALL_AUTHORS
+               else {pub.reprint_author_key} - {None})
+    refs = (pub.doi_references if config.doi_only_references
+            else pub.references)
+    return CoverageProfile(pub.pub_id, (
+        pub.cell.key in keys.cells.selected,
+        len(words & keys.title_words.selected) >= config.required_title_words,
+        not authors.isdisjoint(keys.authors.selected),
+        not refs.isdisjoint(keys.references.selected)))
 
 
 def _mask(flags: tuple[bool, ...]) -> str:
@@ -217,10 +226,9 @@ def covered_rows(corpus: Corpus, keys: KeyValueSets) -> dict[FieldKind, int]:
     publication.  On the corpus the keys were selected on
     (``keys.corpus``) it is computed once and kept on the keys; on any
     other corpus, and for keys made by hand, it is computed each time.
+    Keys with an unresolved author scope raise :class:`InvalidConfig`.
     """
     config = keys.config
-    if config.author_scope is AuthorScope.AUTO:
-        raise InvalidConfig("coverage needs a resolved author scope")
     kept = keys.corpus is corpus
     if kept and keys.covered_rows:
         return dict(keys.covered_rows)
@@ -380,8 +388,7 @@ def key_author_match_counts(
     resolved scope, by their year; ``approx`` reports them in
     ``summary.json``.
     """
-    author_rows = FIELD_SPECS[FieldKind.AUTHOR].index(
-        corpus, keys.config.author_scope).rows
+    author_rows = in_scope_authors(corpus, keys.config.author_scope)[1].rows
     years = corpus.year
     in_window = {v for v, year in enumerate(years.values) if year in window}
     return {key: sum(years.ids[row] in in_window

@@ -305,9 +305,11 @@ def _ingest(run: _Run, path: str | Path,
     return loaded
 
 
-def _load_corpus(run: _Run, path: str | Path) -> corpus_mod.Corpus:
-    """Ingest for pipeline commands: any malformed line is fatal (exit 2)."""
-    loaded = _ingest(run, path)
+def _load(run: _Run, args: argparse.Namespace,
+          *input_names: str) -> corpus_mod.Corpus:
+    """Load ``args.corpus`` for a pipeline command, where any malformed
+    line is fatal (exit 2); record its digest and the named inputs'."""
+    loaded = _ingest(run, args.corpus)
     report = loaded.ingest_report
     if report.rejected:
         shown = ", ".join(
@@ -320,13 +322,6 @@ def _load_corpus(run: _Run, path: str | Path) -> corpus_mod.Corpus:
             report.rejected[0].line_no,
             f"{len(report.rejected)} malformed corpus line(s): {shown}",
         )
-    return loaded
-
-
-def _load(run: _Run, args: argparse.Namespace,
-          *input_names: str) -> corpus_mod.Corpus:
-    """Load ``args.corpus``; record its digest and the named inputs'."""
-    loaded = _load_corpus(run, args.corpus)
     for name in ("corpus", *input_names):
         run.add_input(name, getattr(args, name))
     return loaded

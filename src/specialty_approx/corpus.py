@@ -13,9 +13,10 @@ raw doc-type label) hand out those ids, so a rule that depends on such a
 value alone runs once per distinct value.  The dicts belong to the
 column builder of one ingest and go with it; no cache in this module
 grows with the corpus.  :func:`parse_record` is the same step on a
-builder of one record, with its :class:`Publication` read back, so every
-schema rule is written once.  No line builds a :class:`Publication` or
-an :class:`AuthorName`.
+builder of one record, so every schema rule is written once; its
+:class:`Publication` is read back by :meth:`Corpus.publication`, the one
+row reader, from the one-row corpus the builder makes.  No line of
+:func:`ingest` builds a :class:`Publication` or an :class:`AuthorName`.
 
 :meth:`Corpus.from_publications` finishes the builder :func:`ingest`
 filled; an iterable of publications is first appended by the same
@@ -440,19 +441,6 @@ def _apply(line_no: int, rule, *values) -> None:
         raise SchemaError(line_no, str(exc)) from exc
 
 
-def _publication(pub_id: str, year: int, doc_type: DocType, source_id: str,
-                 cell_key: str, title: str, author_keys: tuple[str, ...],
-                 reprint: int, refs: tuple[str, ...]) -> Publication:
-    """The :class:`Publication` of one row's values, ``reprint`` -1 for
-    none; its names and cell are shared with the ones read before it."""
-    pub = object.__new__(Publication)
-    pub._fill(pub_id, year, doc_type, source_id,
-              _shared_cell(tuple(cell_key.split("|"))), title,
-              tuple(map(_name_of_key, author_keys)), author_keys,
-              None if reprint < 0 else reprint, refs)
-    return pub
-
-
 # a posting is dense, and keeps a row bitset, from 1/_DENSE_SHARE of the corpus
 _DENSE_SHARE = 64
 # the binary digits of a row bitset as compress selectors: 0 or 1 per row
@@ -805,17 +793,6 @@ class _ColumnBuilder:
         ref_ids.extend(map(self.references.__getitem__, refs))
         ref_offsets.append(len(ref_ids))
 
-    def only_publication(self) -> Publication:
-        """The :class:`Publication` of a builder's one record, read back."""
-        (pub_id,), (cell,), (year,), (doc_type,), (source,) = (
-            self.arrived, self.cells, self.years, self.doc_types, self.sources)
-        authors = tuple(self.authors)
-        author_ids, _ = self.forward["author"]
-        return _publication(pub_id, year, doc_type, source, cell,
-                            self.titles[0],
-                            tuple(map(authors.__getitem__, author_ids)),
-                            self.reprint[0], tuple(self.references))
-
 
 def parse_record(obj: dict, line_no: int = 0) -> Publication:
     """Check one decoded JSON object and build its :class:`Publication`.
@@ -823,12 +800,12 @@ def parse_record(obj: dict, line_no: int = 0) -> Publication:
     The object goes through the per-record step :func:`ingest` runs on
     every line (the shapes, then the :class:`Publication` constructor's
     rules, in field order), on a builder of its own, and its publication
-    is read back.  Every violation raises :class:`SchemaError` carrying
-    ``line_no``.
+    is read back from the one-row corpus that builder makes.  Every
+    violation raises :class:`SchemaError` carrying ``line_no``.
     """
     built = _ColumnBuilder()
     built.add_record(obj, line_no)
-    return built.only_publication()
+    return Corpus.from_publications(built).publication(0)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -884,12 +861,17 @@ class Corpus:
         return map(self.publication, self.arrival)
 
     def publication(self, row: int) -> Publication:
-        """The :class:`Publication` of ``row``, built from the columns."""
-        return _publication(self.row_ids[row], self.year[row],
-                            self.doc_type[row], self.source[row],
-                            self.cell[row], self.titles[row],
-                            self.author.values_of(row), self.reprint[row],
-                            self.reference.values_of(row))
+        """The :class:`Publication` of ``row``, built from the columns; its
+        names and cell are shared with the ones read before it."""
+        pub = object.__new__(Publication)
+        author_keys, reprint = self.author.values_of(row), self.reprint[row]
+        cell = _shared_cell(tuple(self.cell[row].split("|")))
+        pub._fill(self.row_ids[row], self.year[row], self.doc_type[row],
+                  self.source[row], cell, self.titles[row],
+                  tuple(map(_name_of_key, author_keys)), author_keys,
+                  None if reprint < 0 else reprint,
+                  self.reference.values_of(row))
+        return pub
 
     def ids_in_years(self, years: Iterable[int]) -> frozenset[str]:
         """Union of publication ids over the given years."""

@@ -15,8 +15,12 @@ A publication counts as covered by a field's selection when
 * reference: any of its references is selected.
 
 :data:`FIELD_SPECS` is the one place a field is defined; every layer
-loops over it.  All four selections of :func:`compute_all_keys` share
-one resolved seed.
+loops over it.  Each :class:`FieldSpec` names the corpus column or
+forward index holding the field and the test a config puts on its
+candidate values, and :meth:`FieldSpec.count` counts a seed over those
+two.  :func:`in_scope_authors` alone maps an author scope to the author
+forward index and postings, and refuses an unresolved ``AUTO``.  All
+four selections of :func:`compute_all_keys` share one resolved seed.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from types import MappingProxyType
 from typing import (Callable, Collection, Iterable, Iterator, Mapping,
                     Sequence)
 
-from .corpus import (Corpus, ForwardIndex, Postings, Publication,
-                     bitset_of_rows, is_doi_like, rows_in, tokenize_title)
+from .corpus import (Column, Corpus, ForwardIndex, Postings, Publication,
+                     bitset_of_rows, is_doi_like, rows_in)
 from .errors import EmptySeed, InvalidConfig, Unsatisfiable
 from .seed import SeedRecord
 
@@ -66,55 +70,43 @@ REPRINT_AUTO_MIN_SHARE = 0.9
 @dataclass(frozen=True)
 class FieldSpec:
     """One field: its :class:`KeyValueSets` and :class:`KeysConfig`
-    threshold attributes, a publication's values, the corpus table the
-    field's value ids index, the value-id counts of a seed's rows, the
-    corpus postings the values are in (under a resolved author scope),
+    threshold attributes, the corpus :class:`Column` or
+    :class:`ForwardIndex` holding it (``forward``) and the postings its
+    values are in (``index``), both under a resolved author scope, the
+    test a config puts on candidate values (``keep``, ``None`` for none),
     and the selected values a publication needs to be covered.
-
-    ``count`` must count exactly the ``values`` of the rows'
-    publications, as ids into ``table``; it reads the corpus's columns
-    and builds no :class:`Publication`.
     """
 
     attr: str
     threshold: str
-    values: Callable[[Publication, "KeysConfig"], frozenset[str]]
-    table: Callable[[Corpus], Sequence[str]]
-    count: Callable[[Corpus, Sequence[int], "KeysConfig"], Mapping[int, int]]
+    forward: Callable[[Corpus, AuthorScope], Column | ForwardIndex]
     index: Callable[[Corpus, AuthorScope], Postings]
+    keep: Callable[["KeysConfig"], Callable[[str], bool] | None] = \
+        lambda config: None
     required: Callable[["KeysConfig"], int] = lambda config: 1
 
-
-def _title_word_counts(corpus: Corpus, rows: Sequence[int],
-                       config: "KeysConfig") -> Mapping[int, int]:
-    """The title words of ``min_word_len`` or more characters.  A title
-    is a set of words, so dropping the shorter words after counting
-    changes no kept count."""
-    counts = corpus.title_word.count(rows)
-    if config.min_word_len == 1:
-        return counts
-    words = corpus.title_word.values
-    return {word: n for word, n in counts.items()
-            if len(words[word]) >= config.min_word_len}
-
-
-def _reference_counts(corpus: Corpus, rows: Sequence[int],
-                      config: "KeysConfig") -> Mapping[int, int]:
-    """The references, only the DOI-like ones when ``doi_only_references``;
-    each distinct reference is tested once."""
-    counts = corpus.reference.count(rows)
-    if not config.doi_only_references:
-        return counts
-    refs = corpus.reference.values
-    return {ref: n for ref, n in counts.items() if is_doi_like(refs[ref])}
+    def count(self, corpus: Corpus, rows: Iterable[int],
+              config: "KeysConfig") -> Mapping[int, int]:
+        """Value id -> number of ``rows`` holding the value, over the
+        values ``keep`` admits, as ids into the ``forward`` table.  Each
+        distinct value is tested once, after counting."""
+        forward = self.forward(corpus, config.author_scope)
+        counts = forward.count(rows)
+        keep = self.keep(config)
+        if keep is None:
+            return counts
+        table = forward.values
+        return {value: n for value, n in counts.items() if keep(table[value])}
 
 
-def in_scope_authors(corpus: Corpus, scope: AuthorScope) -> ForwardIndex:
-    """The forward index of the author occurrences ``scope`` considers."""
+def in_scope_authors(corpus: Corpus,
+                     scope: AuthorScope) -> tuple[ForwardIndex, Postings]:
+    """The forward index and the postings of the author occurrences
+    ``scope`` considers; an unresolved ``AUTO`` raises."""
     if scope is AuthorScope.ALL_AUTHORS:
-        return corpus.author
+        return corpus.author, corpus.by_author_key
     if scope is AuthorScope.REPRINT_ONLY:
-        return corpus.reprint_author
+        return corpus.reprint_author, corpus.by_reprint_author_key
     raise InvalidConfig("author scope AUTO is unresolved; resolve per seed first")
 
 
@@ -122,36 +114,26 @@ def in_scope_authors(corpus: Corpus, scope: AuthorScope) -> ForwardIndex:
 FIELD_SPECS: Mapping[FieldKind, FieldSpec] = MappingProxyType({
     FieldKind.CELL: FieldSpec(
         "cells", "threshold_cell",
-        values=lambda pub, config: frozenset((pub.cell.key,)),
-        table=lambda corpus: corpus.cell.values,
-        count=lambda corpus, rows, config: corpus.cell.count(rows),
+        forward=lambda corpus, scope: corpus.cell,
         index=lambda corpus, scope: corpus.by_cell),
     FieldKind.TITLE_WORD: FieldSpec(
         "title_words", "threshold_title",
-        values=lambda pub, config: tokenize_title(pub.title,
-                                                  config.min_word_len),
-        table=lambda corpus: corpus.title_word.values,
-        count=_title_word_counts,
+        forward=lambda corpus, scope: corpus.title_word,
         index=lambda corpus, scope: corpus.by_title_word,
+        # a title is a set of words: dropping the short ones after
+        # counting changes no kept count
+        keep=lambda config: (None if config.min_word_len == 1 else
+                             lambda word: len(word) >= config.min_word_len),
         required=lambda config: config.required_title_words),
     FieldKind.AUTHOR: FieldSpec(
         "authors", "threshold_author",
-        values=lambda pub, config: in_scope_author_keys(
-            pub, config.author_scope),
-        table=lambda corpus: corpus.author.values,
-        count=lambda corpus, rows, config: in_scope_authors(
-            corpus, config.author_scope).count(rows),
-        index=lambda corpus, scope: (
-            corpus.by_reprint_author_key
-            if scope is AuthorScope.REPRINT_ONLY else corpus.by_author_key)),
+        forward=lambda corpus, scope: in_scope_authors(corpus, scope)[0],
+        index=lambda corpus, scope: in_scope_authors(corpus, scope)[1]),
     FieldKind.REFERENCE: FieldSpec(
         "references", "threshold_reference",
-        values=lambda pub, config: (pub.doi_references
-                                    if config.doi_only_references
-                                    else pub.references),
-        table=lambda corpus: corpus.reference.values,
-        count=_reference_counts,
-        index=lambda corpus, scope: corpus.by_reference),
+        forward=lambda corpus, scope: corpus.reference,
+        index=lambda corpus, scope: corpus.by_reference,
+        keep=lambda config: is_doi_like if config.doi_only_references else None),
 })
 FIELD_ORDER: tuple[FieldKind, ...] = tuple(FIELD_SPECS)
 
@@ -225,16 +207,6 @@ class KeysConfig:
             raise InvalidConfig(str(exc)) from exc
 
 
-def in_scope_author_keys(pub: Publication, scope: AuthorScope) -> frozenset[str]:
-    """The author keys of ``pub`` that the given scope considers."""
-    if scope is AuthorScope.ALL_AUTHORS:
-        return pub.author_keys
-    if scope is AuthorScope.REPRINT_ONLY:
-        key = pub.reprint_author_key
-        return frozenset((key,)) if key is not None else frozenset()
-    raise InvalidConfig("author scope AUTO is unresolved; resolve per seed first")
-
-
 def homonyms_among(author_keys: Iterable[str]) -> frozenset[str]:
     """The surnames that two or more of the distinct ``author_keys``
     carry: ambiguous identities, whose keys lose key-author candidacy."""
@@ -269,7 +241,7 @@ def field_frequencies(
     """
     rows, config = _resolve_seed(corpus, seed.all_ids, config)
     spec = FIELD_SPECS[field]
-    table = spec.table(corpus)
+    table = spec.forward(corpus, config.author_scope).values
     return {table[value]: n
             for value, n in spec.count(corpus, rows, config).items()}
 
@@ -364,7 +336,7 @@ def _select(
     threshold = config.threshold_for(field)
     required = spec.required(config)
     counts = spec.count(corpus, rows, config)
-    table = spec.table(corpus)
+    table = spec.forward(corpus, config.author_scope).values
 
     eligible: Collection[int] = counts
     if field is FieldKind.AUTHOR:

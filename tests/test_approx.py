@@ -310,6 +310,18 @@ def test_key_author_match_counts():
         {"WEISS A": 3}
 
 
+def test_key_author_match_counts_rejects_an_unresolved_scope():
+    # AUTO is not read as all authors: it raises, as covered_rows does
+    corpus = records_to_corpus([minimal_record(id=f"p{i}") for i in range(5)])
+    keys = craft_keys(corpus, ["p0", "p1"])
+    unresolved = dataclasses.replace(keys, config=dataclasses.replace(
+        keys.config, author_scope=AuthorScope.AUTO))
+    with pytest.raises(InvalidConfig):
+        key_author_match_counts(corpus, unresolved, YearWindow(2010, 2011))
+    with pytest.raises(InvalidConfig):
+        covered_rows(corpus, unresolved)
+
+
 def hand_keys(config, **values):
     """Key-value sets holding exactly the given values, field by field."""
     def kvs(field, vals):

@@ -1,5 +1,7 @@
 """Key-value selection tests: batch greedy, homonyms, thresholds, CSV."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,12 @@ from conftest import make_random_records, records_to_corpus
 from oracles import greedy_select, resolve_scope
 from specialty_approx import (
     AuthorScope, FieldKind, KeysConfig, build_seed_record, compute_all_keys,
-    field_frequencies, select_key_values,
+    coverage_profile, field_frequencies, select_key_values,
 )
 from specialty_approx.errors import EmptySeed, InvalidConfig, Unsatisfiable
 from specialty_approx.keys import (
     FIELD_ORDER, FIELD_SPECS, KEY_CSV_COLUMNS, homonyms_among,
-    in_scope_author_keys, write_key_values_csv,
+    in_scope_authors, write_key_values_csv,
 )
 from test_corpus import minimal_record
 
@@ -91,11 +93,16 @@ def test_explicit_scope_resolution_is_a_no_op():
     assert config.resolved_for_seed([]) is config
 
 
-def test_in_scope_author_keys_rejects_unresolved_auto():
+def test_in_scope_authors_rejects_unresolved_auto():
+    # the row engine and the per-publication rules both refuse AUTO
     corpus = records_to_corpus([minimal_record()])
-    pub = corpus.publications["p1"]
     with pytest.raises(InvalidConfig):
-        in_scope_author_keys(pub, AuthorScope.AUTO)
+        in_scope_authors(corpus, AuthorScope.AUTO)
+    keys = compute_all_keys(corpus, seed_of(corpus))
+    auto_keys = dataclasses.replace(keys, config=dataclasses.replace(
+        keys.config, author_scope=AuthorScope.AUTO))
+    with pytest.raises(InvalidConfig):
+        coverage_profile(corpus.publications["p1"], auto_keys)
 
 
 # ------------------------------------------------------------- homonyms
@@ -114,19 +121,16 @@ def homonym_corpus():
 
 def test_homonym_detection_all_authors():
     corpus = homonym_corpus()
-    pubs = list(corpus)
-    scope = AuthorScope.ALL_AUTHORS
-    assert homonyms_among(
-        {k for p in pubs for k in in_scope_author_keys(p, scope)}) == {"WEISS"}
+    _, postings = in_scope_authors(corpus, AuthorScope.ALL_AUTHORS)
+    assert homonyms_among(postings) == {"WEISS"}
 
 
 def test_homonym_detection_respects_scope():
     # in reprint scope, WEISS appears only with initial A -> not a homonym
     corpus = homonym_corpus()
-    pubs = list(corpus)
-    scope = AuthorScope.REPRINT_ONLY
-    assert homonyms_among(
-        {k for p in pubs for k in in_scope_author_keys(p, scope)}) == set()
+    _, postings = in_scope_authors(corpus, AuthorScope.REPRINT_ONLY)
+    assert sorted(postings) == ["NOVAK C", "WEISS A"]
+    assert homonyms_among(postings) == set()
 
 
 def test_homonyms_are_excluded_from_candidacy_and_counted():
@@ -399,16 +403,18 @@ def test_key_values_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("min_word_len", [1, 5])
 def test_field_values_are_posted_in_the_field_index(scope, doi_only,
                                                     min_word_len):
-    # the two columns the coverage engine and coverage_profile each read
+    # the forward index key selection counts and the postings the
+    # coverage engine reads hold the same rows
     corpus = records_to_corpus(
         make_random_records(np.random.default_rng(23), 80))
     config = KeysConfig(min_word_len=min_word_len, author_scope=scope,
                         doi_only_references=doi_only)
     for field, spec in FIELD_SPECS.items():
         index = spec.index(corpus, scope)
+        table = spec.forward(corpus, scope).values
         n_values = 0
-        for pub in corpus:
-            for value in spec.values(pub, config):
-                assert pub.pub_id in index.get(value, ()), (field, value)
+        for row, pub_id in enumerate(corpus.row_ids):
+            for value in spec.count(corpus, [row], config):
+                assert pub_id in index.get(table[value], ()), (field, value)
                 n_values += 1
         assert n_values > 0, field

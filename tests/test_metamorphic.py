@@ -19,7 +19,7 @@ WINDOW = "2010:2012"
 
 def run_main(*argv):
     code = cli.main([str(a) for a in argv])
-    gc.unfreeze()   # _load_corpus froze this process's heap
+    gc.unfreeze()   # _ingest froze this process's heap
     assert code == 0, argv
 
 
